@@ -75,7 +75,11 @@ int main(int argc, char** argv) {
         core::TrainerConfig config = base;
         config.num_machines = machines;
         config.pbg_partitions = 2 * machines;
-        config.obs = obs::ObsConfig{};  // The proc runtime rejects obs.
+        const std::string tag = "proc_w" + std::to_string(machines) +
+                                (faults ? "_faults" : "");
+        config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
+        config.obs.metrics_json =
+            bench::SuffixedPath(base.obs.metrics_json, tag);
         auto engine = core::MakeEngine(core::SystemKind::kHetKgDps, config,
                                        dataset.graph, dataset.split.train)
                           .value();

@@ -43,40 +43,20 @@ std::string Fmt(double value, int digits = 3);
 /// Prints the standard bench banner: binary name + what it reproduces.
 void PrintBanner(const std::string& name, const std::string& what);
 
-/// Registers the flags shared by every table/figure bench:
-///   --dim --epochs --machines --lr --batch --negatives --cache
-///   --staleness --dps_window --triple_fraction --freebase_scale
-///   --eval_triples --eval_candidates --threads --seed, plus the
-/// tiered-storage knobs --storage --cold_dir --cold_dtype
-/// (DESIGN.md §16), plus the
-/// fault-injection knobs --fault_drop --fault_duplicate --fault_delay
-/// --fault_delay_us --fault_retries --fault_backoff_us --fault_seed
-/// (all-zero probabilities = perfect network; a fixed --fault_seed
-/// replays a fault scenario bit-identically), plus the observability
-/// outputs --trace_out --metrics_json --metrics_window (empty paths =
-/// disabled; see DESIGN.md §8).
-/// Defaults are single-core scale; pass paper-scale values to override.
+/// The single-core-scale defaults of the TrainerConfig flags on the
+/// benches: dim 16, batch 32, cache 64; every other field keeps
+/// TrainerConfig's default. Pass paper-scale values to override.
+core::TrainerConfig FlagDefaults();
+
+/// Registers the flags every table/figure bench accepts: the shared
+/// TrainerConfig and dataset-scale flags (core/trainer_flags.h, with
+/// FlagDefaults() and --triple_fraction 0.25) plus the bench-only
+/// --epochs --entity_ratio --eval_triples --eval_candidates.
 void DefineCommonFlags(FlagParser* flags);
 
-/// Builds a TrainerConfig from the parsed common flags.
+/// Builds a TrainerConfig from the parsed common flags. InitBench has
+/// already rejected malformed values, so this cannot fail.
 core::TrainerConfig ConfigFromFlags(const FlagParser& flags);
-
-/// Builds the fault-injection plan from the parsed fault flags;
-/// `enabled` is set iff any fault probability is nonzero.
-sim::FaultConfig FaultConfigFromFlags(const FlagParser& flags);
-
-/// Parses one "machine:tick[,machine:tick...]" process-fault schedule
-/// (--fault_worker_crash / --fault_ps_restart). Malformed items, ids
-/// that do not fit a uint32, and ticks that overflow uint64 (ERANGE)
-/// are InvalidArgument — never silently clamped or wrapped. Exposed so
-/// the rejection paths are unit-testable; the flag plumbing exits(2)
-/// on error like every other malformed-flag path.
-Result<std::vector<sim::ProcessFault>> ParseProcessFaultSpec(
-    const std::string& spec, sim::ProcessFaultKind kind);
-
-/// Builds the observability outputs from --trace_out / --metrics_json /
-/// --metrics_window (empty paths leave tracing and export disabled).
-obs::ObsConfig ObsConfigFromFlags(const FlagParser& flags);
 
 /// Inserts "_tag" before `path`'s extension ("run.json", "cps" ->
 /// "run_cps.json"); appends when there is none. Empty paths stay empty,
@@ -91,13 +71,14 @@ eval::EvalOptions EvalOptionsFromFlags(const FlagParser& flags);
 /// One of the paper's datasets, generated synthetically at the scale
 /// given by the flags. `name` is "fb15k", "wn18" or "freebase86m";
 /// `triple_fraction` (from flags) scales the triple count so benches
-/// finish on one core, and `freebase_scale` scales the Freebase entity
-/// count.
+/// finish on one core, floored at 10000 triples, and `freebase_scale`
+/// scales the Freebase entity count.
 graph::SyntheticDataset GetDataset(const std::string& name,
                                    const FlagParser& flags);
 
-/// Parses flags (exits with usage on error) and silences info logs so
-/// table output stays clean.
+/// Parses flags and binds them once (exits 2 with a message on an
+/// unknown flag or a malformed value, before any dataset is built), and
+/// silences info logs so table output stays clean.
 void InitBench(FlagParser* flags, int argc, char** argv);
 
 /// Applies the paper's per-dataset hyperparameters (Table II) for

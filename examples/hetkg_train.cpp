@@ -17,72 +17,20 @@
 
 namespace {
 
-// Parses a "machine:tick[,machine:tick...]" process-fault schedule;
-// exits with usage on malformed input — including machine ids that do
-// not fit a uint32 and ticks that overflow uint64 (ERANGE) — so a
-// typo'd crash scenario never silently degrades or wraps around.
-std::vector<hetkg::sim::ProcessFault> ParseProcessFaults(
-    const std::string& spec, hetkg::sim::ProcessFaultKind kind,
-    const char* flag_name) {
-  std::vector<hetkg::sim::ProcessFault> events;
-  size_t pos = 0;
-  while (!spec.empty() && pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const size_t colon = item.find(':');
-    // Both fields must be non-empty pure-digit runs: strtoul skips
-    // whitespace, accepts signs (strtoull wraps "-5" without ERANGE),
-    // and parses zero digits for an empty field like ":5".
-    const auto all_digits = [&item](size_t from, size_t to) {
-      if (from >= to) return false;
-      for (size_t i = from; i < to; ++i) {
-        if (item[i] < '0' || item[i] > '9') return false;
-      }
-      return true;
-    };
-    if (colon == std::string::npos || !all_digits(0, colon) ||
-        !all_digits(colon + 1, item.size())) {
-      std::fprintf(stderr, "--%s: bad event \"%s\" (want machine:tick)\n",
-                   flag_name, item.c_str());
-      std::exit(2);
-    }
-    char* end = nullptr;
-    hetkg::sim::ProcessFault fault;
-    fault.kind = kind;
-    errno = 0;
-    const unsigned long machine = std::strtoul(item.c_str(), &end, 10);
-    if (errno == ERANGE || machine > UINT32_MAX) {
-      std::fprintf(stderr, "--%s: machine id out of range in \"%s\"\n",
-                   flag_name, item.c_str());
-      std::exit(2);
-    }
-    fault.machine = static_cast<uint32_t>(machine);
-    errno = 0;
-    fault.tick = std::strtoull(item.c_str() + colon + 1, &end, 10);
-    if (end != item.c_str() + item.size()) {
-      std::fprintf(stderr, "--%s: bad event \"%s\" (want machine:tick)\n",
-                   flag_name, item.c_str());
-      std::exit(2);
-    }
-    if (errno == ERANGE) {
-      std::fprintf(stderr, "--%s: tick out of range in \"%s\"\n",
-                   flag_name, item.c_str());
-      std::exit(2);
-    }
-    events.push_back(fault);
-    if (comma == spec.size()) break;
-    pos = comma + 1;
-  }
-  return events;
-}
-
 // Parses a "machine:iter[,machine:iter...]" real-kill schedule for the
-// process runtime (the worker SIGKILLs itself at that step command).
-std::vector<hetkg::net::ProcKill> ParseProcKills(const std::string& spec) {
+// process runtime (the worker SIGKILLs or SIGSTOPs itself at that step
+// command); exits 2 on malformed input.
+std::vector<hetkg::net::ProcKill> ParseProcKills(const hetkg::FlagParser& flags,
+                                                 const char* flag_name) {
+  auto events = hetkg::core::ParseProcessFaultSpec(
+      flags.GetString(flag_name), hetkg::sim::ProcessFaultKind::kWorkerCrash);
+  if (!events.ok()) {
+    std::fprintf(stderr, "--%s: %s\n", flag_name,
+                 events.status().message().c_str());
+    std::exit(2);
+  }
   std::vector<hetkg::net::ProcKill> kills;
-  for (const hetkg::sim::ProcessFault& f : ParseProcessFaults(
-           spec, hetkg::sim::ProcessFaultKind::kWorkerCrash, "proc_kill")) {
+  for (const hetkg::sim::ProcessFault& f : *events) {
     kills.push_back(hetkg::net::ProcKill{f.machine, f.tick});
   }
   return kills;
@@ -113,13 +61,14 @@ int main(int argc, char** argv) {
   using namespace hetkg;
 
   FlagParser flags;
+  core::TrainerConfig defaults;
+  defaults.batch_size = 64;
+  defaults.cache_capacity = 256;
+  core::DefineTrainerFlags(&flags, defaults);
+  core::DefineDatasetFlags(&flags, 0.1);
   flags.Define("dataset", "fb15k",
                "synthetic preset: fb15k | wn18 | freebase86m (ignored when "
                "--train is given)");
-  flags.Define("triple_fraction", "0.1", "scale of the synthetic dataset");
-  flags.Define("freebase_scale", "0.002",
-               "scale of the freebase86m synthetic preset: 1.0 = full "
-               "86.1M entities (needs --storage=tiered to fit)");
   flags.Define("train", "", "TSV training triples (head\\trel\\ttail)");
   flags.Define("valid", "", "TSV validation triples");
   flags.Define("test", "", "TSV test triples");
@@ -128,77 +77,8 @@ int main(int argc, char** argv) {
                "transe | transe_l2 | distmult | complex | transh | transr | "
                "transd | hole | rescal");
   flags.Define("loss", "margin", "margin | logistic");
-  flags.Define("dim", "32", "embedding dimension");
   flags.Define("epochs", "10", "training epochs");
-  flags.Define("lr", "0.1", "AdaGrad learning rate");
-  flags.Define("batch", "64", "mini-batch size per worker");
-  flags.Define("negatives", "8", "negatives per positive");
-  flags.Define("machines", "4", "simulated machines");
-  flags.Define("cache", "256", "hot-embedding rows per worker");
-  flags.Define("staleness", "8", "staleness bound P");
-  flags.Define("dps_window", "64", "DPS window D");
-  flags.Define("threads", "1",
-               "compute threads for the intra-batch forward/backward "
-               "fan-out (results are bit-identical at any value)");
-  flags.Define("kernel", "auto",
-               "score/optimizer kernel path: auto | scalar | vector "
-               "(results are bit-identical at any value)");
   flags.Define("checkpoint", "", "path to write the trained embeddings");
-  flags.Define("seed", "1234", "seed");
-  flags.Define("async", "false",
-               "threaded sample/pull/compute/push pipeline with "
-               "bounded-staleness overlap (PS engines only; results no "
-               "longer bit-reproducible run to run)");
-  flags.Define("max_pipeline_staleness", "2",
-               "async mode: iterations the pull stage may run ahead "
-               "(0 = rendezvous)");
-  // Fault injection: simulate an unreliable worker <-> PS network.
-  // All-zero probabilities (default) = perfect network; with a fixed
-  // --fault_seed the same scenario replays bit-identically.
-  flags.Define("fault_drop", "0",
-               "probability one wire attempt is lost in the network");
-  flags.Define("fault_duplicate", "0",
-               "probability a delivered message arrives twice");
-  flags.Define("fault_delay", "0",
-               "probability a delivered message is late");
-  flags.Define("fault_retries", "3",
-               "retransmissions before the sender gives up");
-  flags.Define("fault_seed", "42", "seed of the deterministic fault plan");
-  // Process-level faults + crash recovery (DESIGN.md §9).
-  flags.Define("fault_worker_crash", "",
-               "scheduled worker crashes as machine:tick[,machine:tick...] "
-               "on the transport's logical clock (empty = none)");
-  flags.Define("fault_ps_restart", "",
-               "scheduled PS shard restarts as machine:tick[,...] "
-               "(empty = none)");
-  flags.Define("fault_halt_after", "0",
-               "simulate a hard crash: stop after N global iterations "
-               "without flushing (0 = run to completion)");
-  flags.Define("checkpoint_dir", "",
-               "directory receiving periodic full-training-state "
-               "snapshots + MANIFEST (empty = checkpointing off)");
-  flags.Define("checkpoint_every", "0",
-               "snapshot every N global iterations (PBG: every N epochs; "
-               "0 = no periodic saves)");
-  flags.Define("keep_checkpoints", "3",
-               "retained snapshots; older ones are pruned (0 = keep all)");
-  flags.Define("checkpoint_fsync", "true",
-               "fsync snapshot/manifest writes for power-loss durability "
-               "(false = faster saves)");
-  flags.Define("resume_from", "",
-               "resume training from a snapshot file or checkpoint "
-               "directory (newest valid manifest entry wins)");
-  // Observability (DESIGN.md §8): empty paths keep tracing and metrics
-  // export disabled, bit-identical to a build without the obs layer.
-  flags.Define("trace_out", "",
-               "Chrome/Perfetto trace-event JSON output path; open at "
-               "ui.perfetto.dev (empty = tracing off)");
-  flags.Define("metrics_json", "",
-               "per-epoch metrics time-series JSON output path "
-               "(empty = export off)");
-  flags.Define("metrics_window", "0",
-               "also sample metrics every N iterations within an epoch "
-               "(0 = per-epoch only; needs --metrics_json)");
   // Process runtime (DESIGN.md §13): real worker processes behind the
   // same engine; checkpoints stay bit-identical to --runtime=sim.
   flags.Define("runtime", "sim",
@@ -252,24 +132,18 @@ int main(int argc, char** argv) {
   flags.Define("save_state", "",
                "write a full training-state snapshot here after Train() "
                "(the byte-comparable artifact of equivalence tests)");
-  // Two-tier embedding storage (DESIGN.md §16): hot rows stay in the
-  // worker caches; the full tables live behind a memory-mapped cold
-  // file, optionally quantized.
-  flags.Define("storage", "ram",
-               "embedding table backing: ram (all rows resident) | tiered "
-               "(mmap-backed cold tier; PS engines + sim runtime only)");
-  flags.Define("cold_dir", "",
-               "directory for the tiered cold-tier slab files (required "
-               "with --storage=tiered)");
-  flags.Define("cold_dtype", "fp32",
-               "cold-tier row encoding: fp32 | fp16 | int8 (per-row "
-               "affine scale; fp32 accumulation everywhere)");
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n%s", parsed.ToString().c_str(),
                  flags.Usage(argv[0]).c_str());
     return 2;
   }
+  Result<core::TrainerConfig> bound = core::TrainerConfigFromFlags(flags);
+  if (!bound.ok()) {
+    std::fprintf(stderr, "%s\n", bound.status().ToString().c_str());
+    return 2;
+  }
+  core::TrainerConfig config = std::move(bound).value();
 
   // ---- Dataset --------------------------------------------------------
   graph::SyntheticDataset dataset{
@@ -285,21 +159,12 @@ int main(int argc, char** argv) {
     dataset.graph = std::move(loaded->graph);
     dataset.split = std::move(loaded->split);
   } else {
-    graph::SyntheticSpec spec;
-    const std::string name = flags.GetString("dataset");
-    if (name == "fb15k") {
-      spec = graph::Fb15kSpec();
-    } else if (name == "wn18") {
-      spec = graph::Wn18Spec();
-    } else if (name == "freebase86m") {
-      spec = graph::Freebase86mSpec(flags.GetDouble("freebase_scale"));
-    } else {
-      std::fprintf(stderr, "unknown dataset: %s\n", name.c_str());
+    auto spec = core::PresetSpecFromFlags(flags.GetString("dataset"), flags);
+    if (!spec.ok()) {
+      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
       return 2;
     }
-    spec.num_triples = static_cast<size_t>(
-        spec.num_triples * flags.GetDouble("triple_fraction"));
-    auto generated = graph::GenerateDataset(spec);
+    auto generated = graph::GenerateDataset(*spec);
     if (!generated.ok()) {
       std::fprintf(stderr, "generate: %s\n",
                    generated.status().ToString().c_str());
@@ -321,16 +186,8 @@ int main(int argc, char** argv) {
                      .c_str());
     return 2;
   }
-  core::TrainerConfig config;
   config.model = *model;
   config.loss = flags.GetString("loss");
-  config.dim = static_cast<size_t>(flags.GetInt("dim"));
-  config.learning_rate = flags.GetDouble("lr");
-  config.batch_size = static_cast<size_t>(flags.GetInt("batch"));
-  config.negatives_per_positive =
-      static_cast<size_t>(flags.GetInt("negatives"));
-  config.negative_chunk_size = config.negatives_per_positive;
-  config.num_machines = static_cast<size_t>(flags.GetInt("machines"));
   const std::string runtime = flags.GetString("runtime");
   if (runtime != "sim" && runtime != "proc") {
     std::fprintf(stderr, "--runtime: want sim | proc, got \"%s\"\n",
@@ -340,79 +197,15 @@ int main(int argc, char** argv) {
   const bool proc_runtime = runtime == "proc";
   if (proc_runtime && flags.GetInt("workers") > 0) {
     config.num_machines = static_cast<size_t>(flags.GetInt("workers"));
+    config.pbg_partitions = 2 * config.num_machines;
   }
-  config.cache_capacity = static_cast<size_t>(flags.GetInt("cache"));
-  config.sync.staleness_bound =
-      static_cast<size_t>(flags.GetInt("staleness"));
-  config.sync.dps_window = static_cast<size_t>(flags.GetInt("dps_window"));
-  config.sync.async_pipeline = flags.GetBool("async");
-  config.sync.pipeline_staleness =
-      static_cast<size_t>(flags.GetInt("max_pipeline_staleness"));
-  config.pbg_partitions = 2 * config.num_machines;
-  config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
-  config.kernel = flags.GetString("kernel");
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  config.fault.drop_prob = flags.GetDouble("fault_drop");
-  config.fault.duplicate_prob = flags.GetDouble("fault_duplicate");
-  config.fault.delay_prob = flags.GetDouble("fault_delay");
-  config.fault.max_retries = static_cast<size_t>(flags.GetInt("fault_retries"));
-  config.fault.seed = static_cast<uint64_t>(flags.GetInt("fault_seed"));
-  config.fault.enabled = config.fault.drop_prob > 0.0 ||
-                         config.fault.duplicate_prob > 0.0 ||
-                         config.fault.delay_prob > 0.0;
-  for (const sim::ProcessFault& f : ParseProcessFaults(
-           flags.GetString("fault_worker_crash"),
-           sim::ProcessFaultKind::kWorkerCrash, "fault_worker_crash")) {
-    config.fault.process_faults.push_back(f);
-  }
-  for (const sim::ProcessFault& f : ParseProcessFaults(
-           flags.GetString("fault_ps_restart"),
-           sim::ProcessFaultKind::kPsShardRestart, "fault_ps_restart")) {
-    config.fault.process_faults.push_back(f);
-  }
-  config.checkpoint_dir = flags.GetString("checkpoint_dir");
-  config.checkpoint_every =
-      static_cast<size_t>(flags.GetInt("checkpoint_every"));
-  config.keep_checkpoints =
-      static_cast<size_t>(flags.GetInt("keep_checkpoints"));
-  config.resume_from = flags.GetString("resume_from");
-  config.halt_after_iterations =
-      static_cast<size_t>(flags.GetInt("fault_halt_after"));
-  config.checkpoint_fsync = flags.GetBool("checkpoint_fsync");
-  const std::string storage = flags.GetString("storage");
-  if (storage != "ram" && storage != "tiered") {
-    std::fprintf(stderr, "--storage: want ram | tiered, got \"%s\"\n",
-                 storage.c_str());
+  if (config.storage.enabled && proc_runtime) {
+    std::fprintf(stderr,
+                 "--storage=tiered supports --runtime=sim only (the "
+                 "proc coordinator owns the PS in its own process; its "
+                 "workers never map the cold slabs)\n");
     return 2;
   }
-  if (storage == "tiered") {
-    if (flags.GetString("cold_dir").empty()) {
-      std::fprintf(stderr,
-                   "--storage=tiered needs --cold_dir=<dir> for the "
-                   "cold-tier slab files\n");
-      return 2;
-    }
-    if (proc_runtime) {
-      std::fprintf(stderr,
-                   "--storage=tiered supports --runtime=sim only (the "
-                   "proc coordinator owns the PS in its own process; its "
-                   "workers never map the cold slabs)\n");
-      return 2;
-    }
-    auto dtype = embedding::ParseColdDtype(flags.GetString("cold_dtype"));
-    if (!dtype.ok()) {
-      std::fprintf(stderr, "--cold_dtype: %s\n",
-                   dtype.status().ToString().c_str());
-      return 2;
-    }
-    config.storage.enabled = true;
-    config.storage.cold_dir = flags.GetString("cold_dir");
-    config.storage.dtype = *dtype;
-  }
-  config.obs.trace_out = flags.GetString("trace_out");
-  config.obs.metrics_json = flags.GetString("metrics_json");
-  config.obs.metrics_window =
-      static_cast<size_t>(flags.GetInt("metrics_window"));
 
   auto engine =
       core::MakeEngine(*system, config, dataset.graph, dataset.split.train);
@@ -441,11 +234,8 @@ int main(int argc, char** argv) {
     }
     proc_options.transport = *transport;
     proc_options.retry = net::RetryPolicy::FromFaultConfig(config.fault);
-    proc_options.kills = ParseProcKills(flags.GetString("proc_kill"));
-    for (const net::ProcKill& stop :
-         ParseProcKills(flags.GetString("proc_stop"))) {
-      proc_options.stops.push_back(stop);
-    }
+    proc_options.kills = ParseProcKills(flags, "proc_kill");
+    proc_options.stops = ParseProcKills(flags, "proc_stop");
     proc_options.fault.drop_prob = flags.GetDouble("proc_fault_drop");
     proc_options.fault.duplicate_prob =
         flags.GetDouble("proc_fault_duplicate");

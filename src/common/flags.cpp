@@ -60,28 +60,54 @@ std::string FlagParser::GetString(std::string_view name) const {
   return Lookup(name).value;
 }
 
-int64_t FlagParser::GetInt(std::string_view name) const {
+Result<int64_t> FlagParser::TryGetInt(std::string_view name) const {
   int64_t v = 0;
   const std::string& raw = Lookup(name).value;
-  HETKG_CHECK(ParseInt64(raw, &v)) << "flag --" << name
-                                   << " is not an integer: " << raw;
+  if (!ParseInt64(raw, &v)) {
+    return Status::InvalidArgument("flag --" + std::string(name) +
+                                   " is not an integer: " + raw);
+  }
   return v;
 }
 
-double FlagParser::GetDouble(std::string_view name) const {
+Result<double> FlagParser::TryGetDouble(std::string_view name) const {
   double v = 0.0;
   const std::string& raw = Lookup(name).value;
-  HETKG_CHECK(ParseDouble(raw, &v)) << "flag --" << name
-                                    << " is not a double: " << raw;
+  if (!ParseDouble(raw, &v)) {
+    return Status::InvalidArgument("flag --" + std::string(name) +
+                                   " is not a double: " + raw);
+  }
   return v;
 }
 
-bool FlagParser::GetBool(std::string_view name) const {
+Result<bool> FlagParser::TryGetBool(std::string_view name) const {
   const std::string& raw = Lookup(name).value;
   if (raw == "true" || raw == "1") return true;
   if (raw == "false" || raw == "0") return false;
-  HETKG_CHECK(false) << "flag --" << name << " is not a boolean: " << raw;
-  return false;
+  return Status::InvalidArgument("flag --" + std::string(name) +
+                                 " is not a boolean: " + raw);
+}
+
+namespace {
+
+template <typename T>
+T ValueOrDie(Result<T> result) {
+  HETKG_CHECK(result.ok()) << result.status().message();
+  return std::move(result).value();
+}
+
+}  // namespace
+
+int64_t FlagParser::GetInt(std::string_view name) const {
+  return ValueOrDie(TryGetInt(name));
+}
+
+double FlagParser::GetDouble(std::string_view name) const {
+  return ValueOrDie(TryGetDouble(name));
+}
+
+bool FlagParser::GetBool(std::string_view name) const {
+  return ValueOrDie(TryGetBool(name));
 }
 
 bool FlagParser::IsSet(std::string_view name) const {

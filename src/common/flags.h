@@ -31,6 +31,12 @@ class FlagParser {
   double GetDouble(std::string_view name) const;
   bool GetBool(std::string_view name) const;
 
+  /// Like the Get* accessors, but a value that does not parse is
+  /// InvalidArgument naming the flag instead of a CHECK failure.
+  Result<int64_t> TryGetInt(std::string_view name) const;
+  Result<double> TryGetDouble(std::string_view name) const;
+  Result<bool> TryGetBool(std::string_view name) const;
+
   /// True when the user explicitly supplied the flag (vs default).
   bool IsSet(std::string_view name) const;
 

@@ -41,6 +41,7 @@
 #include "core/ps_engine.h"
 #include "core/sync_controller.h"
 #include "core/trainer.h"
+#include "core/trainer_flags.h"
 #include "embedding/adagrad.h"
 #include "embedding/checkpoint.h"
 #include "embedding/embedding_table.h"

@@ -22,10 +22,10 @@
 #include "core/pipeline.h"
 #include "core/ps_engine.h"
 #include "core/trainer.h"
+#include "core/trainer_flags.h"
 #include "embedding/checkpoint.h"
 #include "embedding/kernels.h"
 #include "graph/synthetic.h"
-#include "harness.h"
 #include "sim/transport.h"
 
 namespace hetkg {
@@ -416,7 +416,7 @@ TEST(AsyncPipelineTest, WorkerCrashRecoveredInAsyncMode) {
 
 TEST(ProcessFaultParseTest, AcceptsValidSchedule) {
   const auto faults =
-      bench::ParseProcessFaultSpec("0:10,1:250",
+      core::ParseProcessFaultSpec("0:10,1:250",
                                    sim::ProcessFaultKind::kWorkerCrash)
           .value();
   ASSERT_EQ(faults.size(), 2u);
@@ -430,7 +430,7 @@ TEST(ProcessFaultParseTest, AcceptsValidSchedule) {
 TEST(ProcessFaultParseTest, RejectsMachineIdAboveUint32) {
   // 2^32 does not fit a uint32 machine id; before the fix strtoul on
   // LP64 silently accepted it (unsigned long is 64-bit there).
-  const auto result = bench::ParseProcessFaultSpec(
+  const auto result = core::ParseProcessFaultSpec(
       "4294967296:10", sim::ProcessFaultKind::kWorkerCrash);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -439,7 +439,7 @@ TEST(ProcessFaultParseTest, RejectsMachineIdAboveUint32) {
 TEST(ProcessFaultParseTest, RejectsTickOverflow) {
   // Overflows uint64: strtoull sets ERANGE and clamps to ULLONG_MAX,
   // which the pre-fix parser accepted as a wrapped/clamped tick.
-  const auto result = bench::ParseProcessFaultSpec(
+  const auto result = core::ParseProcessFaultSpec(
       "1:99999999999999999999999999", sim::ProcessFaultKind::kPsShardRestart);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -450,13 +450,13 @@ TEST(ProcessFaultParseTest, RejectsMalformedItems) {
        {"abc", "1", "1:", ":5", "1:x", "1:2:3", "-1:5", "1:-5", "1: 5",
         "+1:5", "1:5,"}) {
     SCOPED_TRACE("spec=\"" + spec + "\"");
-    EXPECT_FALSE(bench::ParseProcessFaultSpec(
+    EXPECT_FALSE(core::ParseProcessFaultSpec(
                      spec, sim::ProcessFaultKind::kWorkerCrash)
                      .ok());
   }
   // The empty default of --fault_worker_crash is an empty schedule,
   // not an error.
-  EXPECT_TRUE(bench::ParseProcessFaultSpec(
+  EXPECT_TRUE(core::ParseProcessFaultSpec(
                   "", sim::ProcessFaultKind::kWorkerCrash)
                   .value()
                   .empty());
