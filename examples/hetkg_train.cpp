@@ -334,6 +334,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "train: %s\n", report.status().ToString().c_str());
     return 1;
   }
+  // A recovered crash leaves stdout identical to a fault-free run; the
+  // process-local recovery counters say what happened.
+  const MetricRegistry& recovery = (*engine)->RecoveryMetrics();
+  if (const uint64_t crashes = recovery.Get(metric::kRecoveryWorkerCrashes);
+      crashes > 0) {
+    const uint64_t restores = recovery.Get(metric::kCheckpointRestores);
+    std::fprintf(stderr,
+                 "recovered %llu worker crash%s from checkpoint (%llu "
+                 "restore%s)\n",
+                 static_cast<unsigned long long>(crashes),
+                 crashes == 1 ? "" : "es",
+                 static_cast<unsigned long long>(restores),
+                 restores == 1 ? "" : "s");
+  }
   for (const auto& epoch : report->epochs) {
     std::printf("epoch %2zu  loss=%.4f  sim=%s  hit=%.2f%s\n",
                 epoch.epoch + 1, epoch.mean_loss,

@@ -212,18 +212,17 @@ inline constexpr char kKernelDispatch[] = "kernel.dispatch";
 // Crash recovery (DESIGN.md §9). checkpoint.* counters exist only when
 // periodic checkpointing is configured; both the crashed and the
 // uninterrupted reference run take the same snapshot schedule, so the
-// counters stay bit-identical across a crash + resume. recovery.*
-// counters track in-sim process faults (kWorkerCrash/kPsShardRestart)
-// and are deterministic functions of the fault plan.
+// counters stay bit-identical across a crash + resume.
+// recovery.ps_shard_restarts counts in-sim kPsShardRestart faults, a
+// deterministic function of the fault plan. recovery.worker_crashes
+// counts worker crashes: the PS engines rewind a crash to the latest
+// snapshot, so for them it is a process-local RecoveryMetrics() counter
+// like those below; PBG's epoch-granularity model reports it.
 inline constexpr char kCheckpointSaves[] = "checkpoint.saves";
 inline constexpr char kCheckpointBytes[] = "checkpoint.bytes";
 inline constexpr char kRecoveryWorkerCrashes[] = "recovery.worker_crashes";
 inline constexpr char kRecoveryPsShardRestarts[] =
     "recovery.ps_shard_restarts";
-inline constexpr char kRecoveryReplayedIterations[] =
-    "recovery.replayed_iterations";
-inline constexpr char kRecoveryReplaySkippedRows[] =
-    "recovery.replay_skipped_push_rows";
 // Process-local restore bookkeeping, kept OUT of the training metric
 // snapshot (a resumed run restores once; the uninterrupted reference
 // run never does, so these may not perturb the bit-identity contract).

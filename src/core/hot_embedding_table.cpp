@@ -143,8 +143,6 @@ void HotEmbeddingTable::Refresh(EmbKey key, std::span<const float> value) {
   std::copy(value.begin(), value.end(), row.begin());
 }
 
-void HotEmbeddingTable::DropAll() { index_.clear(); }
-
 void HotEmbeddingTable::SaveState(ByteWriter* w) const {
   w->U64(entity_slots_);
   w->U64(relation_slots_);

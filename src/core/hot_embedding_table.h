@@ -69,10 +69,6 @@ class HotEmbeddingTable {
   /// pulls fresh global values). Resets nothing else.
   void Refresh(EmbKey key, std::span<const float> value);
 
-  /// Drops every cached entry (a crashed worker's cache is volatile
-  /// state; recovery rebuilds it from the snapshot or from scratch).
-  void DropAll();
-
   /// Serializes the full cache state — key->slot index (in sorted key
   /// order, so the payload is independent of hash iteration order),
   /// both row slabs, and both local AdaGrad accumulators — for the

@@ -24,6 +24,28 @@ constexpr uint64_t kFilterFlopsPerKey = 16;
 /// Modeled optimizer cost per updated parameter.
 constexpr uint64_t kUpdateFlopsPerParam = 6;
 
+void AddEpochTotals(TrainReport* report, const EpochReport& er) {
+  report->total_remote_bytes += er.remote_bytes;
+  report->total_time.compute_seconds += er.epoch_time.compute_seconds;
+  report->total_time.comm_seconds += er.epoch_time.comm_seconds;
+  report->total_time.overlap_seconds += er.epoch_time.overlap_seconds;
+  report->total_wall_seconds += er.wall_seconds;
+}
+
+/// A crash rewind re-runs everything after iteration `iter` of `epoch`;
+/// drops what `report` already holds from that stretch (and re-sums the
+/// totals in epoch order), so a recovered run reports exactly what an
+/// uninterrupted one does.
+void RewindReport(TrainReport* report, size_t epoch, size_t iter) {
+  std::erase_if(report->epochs,
+                [epoch](const EpochReport& er) { return er.epoch >= epoch; });
+  report->total_time = {};
+  report->total_remote_bytes = 0;
+  report->total_wall_seconds = 0.0;
+  for (const EpochReport& er : report->epochs) AddEpochTotals(report, er);
+  report->metrics_series.DropAfter(epoch, iter);
+}
+
 }  // namespace
 
 std::string_view SystemKindName(SystemKind kind) {
@@ -173,21 +195,29 @@ Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
                     config_.heterogeneity_aware},
       graph_.num_entities(), graph_.num_relations());
   workers_.resize(config_.num_machines);
-  train_degrees_ = config_.degree_weighted_negatives
-                       ? train_graph.EntityDegrees()
-                       : std::vector<uint32_t>{};
+  const std::vector<uint32_t> train_degrees =
+      config_.degree_weighted_negatives ? train_graph.EntityDegrees()
+                                        : std::vector<uint32_t>{};
+  embedding::NegativeSamplerSpec sampler_spec;
+  sampler_spec.name = config_.negative_sampler;
+  sampler_spec.num_entities = graph_.num_entities();
+  sampler_spec.negatives_per_positive = config_.negatives_per_positive;
+  sampler_spec.chunk_size = config_.negative_chunk_size;
+  sampler_spec.relation_corruption_prob = config_.relation_corruption_prob;
+  sampler_spec.num_relations = graph_.num_relations();
+  if (config_.degree_weighted_negatives) {
+    sampler_spec.entity_degrees = &train_degrees;
+  }
   Rng seeder(config_.seed ^ 0x5EED);
   for (uint32_t m = 0; m < config_.num_machines; ++m) {
     Worker& w = workers_[m];
     w.machine = m;
     w.triples = std::move(worker_triples[m]);
-    w.sampler_seed = seeder.NextUint64();
-    HETKG_ASSIGN_OR_RETURN(
-        w.sampler,
-        embedding::MakeNegativeSampler(SamplerSpecFor(w.sampler_seed)));
-    w.prefetch_seed = seeder.NextUint64();
+    sampler_spec.seed = seeder.NextUint64();
+    HETKG_ASSIGN_OR_RETURN(w.sampler,
+                           embedding::MakeNegativeSampler(sampler_spec));
     w.prefetcher = std::make_unique<Prefetcher>(
-        &w.triples, config_.batch_size, w.sampler.get(), w.prefetch_seed);
+        &w.triples, config_.batch_size, w.sampler.get(), seeder.NextUint64());
     if (sync_.config().strategy != CacheStrategy::kNone) {
       w.cache = std::make_unique<HotEmbeddingTable>(
           quota.entity_slots, quota.relation_slots, config_.dim,
@@ -235,22 +265,6 @@ Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
     }
   }
   return Status::OK();
-}
-
-embedding::NegativeSamplerSpec PsTrainingEngine::SamplerSpecFor(
-    uint64_t seed) const {
-  embedding::NegativeSamplerSpec spec;
-  spec.name = config_.negative_sampler;
-  spec.num_entities = graph_.num_entities();
-  spec.negatives_per_positive = config_.negatives_per_positive;
-  spec.chunk_size = config_.negative_chunk_size;
-  spec.seed = seed;
-  spec.relation_corruption_prob = config_.relation_corruption_prob;
-  spec.num_relations = graph_.num_relations();
-  if (config_.degree_weighted_negatives) {
-    spec.entity_degrees = &train_degrees_;
-  }
-  return spec;
 }
 
 uint64_t PsTrainingEngine::CollectHotSetPlan(Worker* w, bool whole_epoch,
@@ -330,13 +344,6 @@ void PsTrainingEngine::ApplyHotSet(Worker* w, size_t iter,
                            static_cast<double>(admitted[idx]));
     }
   }
-}
-
-void PsTrainingEngine::ConstructHotSet(Worker* w, bool whole_epoch,
-                                       size_t iter) {
-  FrequencyMap freq;
-  const uint64_t accesses = CollectHotSetPlan(w, whole_epoch, &freq);
-  ApplyHotSet(w, iter, freq, accesses);
 }
 
 void PsTrainingEngine::FlushPendingGradients(Worker* w) {
@@ -857,7 +864,7 @@ size_t PsTrainingEngine::RunAsyncSegment(size_t max_iters) {
       std::max(queue_high_water_compute_, q_pull_compute_->high_water());
   queue_high_water_push_ =
       std::max(queue_high_water_push_, q_compute_push_->high_water());
-  // Reopen so the recovery replay path (which routes Step() through the
+  // Reopen so the deterministic Step() path (which routes through the
   // same queues) and the next segment find them usable.
   q_sample_pull_->Reopen();
   q_pull_compute_->Reopen();
@@ -918,8 +925,8 @@ MetricRegistry PsTrainingEngine::CollectObsMetrics(double sim_seconds) const {
   // Fault-free transports never touch a counter, so this merge leaves
   // plain reports byte-identical to the perfect-network behaviour.
   m.Merge(transport_.metrics());
-  // Same contract: checkpoint.saves/bytes and recovery.* exist only
-  // when checkpointing or process faults are configured.
+  // Same contract: checkpoint.saves/bytes exist only when
+  // checkpointing is configured.
   m.Merge(engine_metrics_);
   uint64_t hits = total_hits_;
   uint64_t misses = total_misses_;
@@ -991,55 +998,78 @@ MetricRegistry PsTrainingEngine::CollectObsMetrics(double sim_seconds) const {
 }
 
 Result<TrainReport> PsTrainingEngine::Train(size_t num_epochs) {
-  if (step_driver_ == nullptr) return TrainInner(num_epochs);
-  // Process runtime (DESIGN.md §13). The step driver services worker
-  // RPCs strictly in sim order, which is only well-defined for the
-  // deterministic scheduler, and real worker processes make the sim's
-  // scheduled process faults redundant — real SIGKILLs replace them.
-  if (async_mode_) {
-    return Status::InvalidArgument(
-        "--runtime=proc requires the deterministic scheduler (drop --async)");
+  if (step_driver_ != nullptr) {
+    // Process runtime (DESIGN.md §13). The step driver services worker
+    // RPCs strictly in sim order, which is only well-defined for the
+    // deterministic scheduler, and real worker processes make the sim's
+    // scheduled process faults redundant — real SIGKILLs replace them.
+    if (async_mode_) {
+      return Status::InvalidArgument(
+          "--runtime=proc requires the deterministic scheduler (drop "
+          "--async)");
+    }
+    if (!config_.fault.process_faults.empty()) {
+      return Status::InvalidArgument(
+          "--runtime=proc replaces simulated process faults with real "
+          "worker kills (drop --fault_process)");
+    }
   }
-  if (!config_.fault.process_faults.empty()) {
-    return Status::InvalidArgument(
-        "--runtime=proc replaces simulated process faults with real worker "
-        "kills (drop --fault_process)");
-  }
+  // Start a tracing session when the config asks for one and the
+  // embedding binary didn't already; one session spans every rewind,
+  // and the lease stops it (writing the file) on every exit path.
+  obs::TracerLease trace_lease{obs::TraceOptions{config_.obs.trace_out}};
+  TrainReport report;
   for (;;) {
-    Result<TrainReport> report = TrainInner(num_epochs);
-    if (report.ok() || !step_driver_->WorkerFailed()) return report;
-    // A worker process died mid-run. Recovery is a full rewind: every
-    // surviving process is discarded too, the coordinator restores the
-    // latest HETKGCK2 snapshot (the exact state a sim-mode halt/resume
-    // would restore), re-forks the fleet from it, and TrainInner
-    // continues down the proven resume path — so the final bytes match
-    // an uninterrupted run.
+    const Status status = TrainInner(num_epochs, &report);
+    if (status.ok()) break;
+    const bool crashed = step_driver_ != nullptr ? step_driver_->WorkerFailed()
+                                                 : sim_worker_crashed_;
+    if (!crashed) return status;
+    // A worker died mid-run: an in-sim kWorkerCrash or, under the
+    // process runtime, a real worker process. Recovery is the same full
+    // rewind in both (DESIGN.md §9): every other worker is discarded
+    // too, the latest snapshot is restored, and TrainInner continues
+    // down the resume path — so the final bytes and report equal an
+    // uninterrupted run with the same checkpoint schedule.
+    sim_worker_crashed_ = false;
     recovery_metrics_.Increment(metric::kRecoveryWorkerCrashes);
-    const Status restored = RestoreTrainState(config_.checkpoint_dir);
+    const size_t delivered = transport_.process_faults_delivered();
+    const Status restored =
+        config_.checkpoint_dir.empty()
+            ? Status::NotFound("checkpointing is not configured")
+            : RestoreTrainState(config_.checkpoint_dir);
     if (!restored.ok()) {
       return Status::FailedPrecondition(
           "worker process died and no checkpoint is restorable: " +
           restored.ToString());
     }
-    HETKG_RETURN_IF_ERROR(step_driver_->RestartWorkers());
+    transport_.KeepProcessFaultsDelivered(delivered);
+    if (step_driver_ != nullptr) {
+      // Re-fork the fleet from the restored state.
+      HETKG_RETURN_IF_ERROR(step_driver_->RestartWorkers());
+    }
   }
+  if (trace_lease.owns()) {
+    const Status trace_status = trace_lease.Finish();
+    if (!trace_status.ok()) {
+      HETKG_LOG(Warning) << "trace write failed: "
+                         << trace_status.ToString();
+    }
+  }
+  return report;
 }
 
-Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
-  // Start a tracing session when the config asks for one and the
-  // embedding binary didn't already; the lease stops it (writing the
-  // file) on every exit path, including early error returns.
-  obs::TracerLease trace_lease{obs::TraceOptions{config_.obs.trace_out}};
+Status PsTrainingEngine::TrainInner(size_t num_epochs, TrainReport* out) {
+  TrainReport& report = *out;
   const bool metrics_on = config_.obs.MetricsRequested();
   Stopwatch train_wall;
   // Process runtime: arm the workers' per-process tracers/transport
   // profiling and run the clock-offset handshake (DESIGN.md §14). Must
-  // follow the lease above — the handshake reads this session's clock.
+  // follow Train()'s trace lease — the handshake reads its clock.
   if (step_driver_ != nullptr && config_.obs.Enabled()) {
     HETKG_RETURN_IF_ERROR(step_driver_->SetupObs());
   }
 
-  TrainReport report;
   size_t start_epoch = 0;
   size_t resume_iter = 0;
   bool resuming = false;
@@ -1059,6 +1089,7 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
       start_epoch = global_iteration_ / iterations_per_epoch_;
       resume_iter = global_iteration_ % iterations_per_epoch_;
     }
+    RewindReport(&report, start_epoch, resume_iter);
   } else {
     cumulative_seconds_ = 0.0;
   }
@@ -1116,14 +1147,14 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
       sample.metrics = CollectObsMetrics(sample.sim_seconds);
       report.metrics_series.Add(std::move(sample));
     };
-    auto halt_report = [&]() -> TrainReport {
+    auto halt = [&] {
       // Testing hook simulating a hard crash: stop mid-run without
       // the epoch-boundary flush or report. The partial report only
       // exists so callers can observe how far the run got.
       report.overall_hit_ratio = OverallHitRatio();
       report.metrics = CollectObsMetrics(
           cumulative_seconds_ + EpochCriticalPath().total_seconds());
-      return report;
+      return Status::OK();
     };
 
     if (!async_mode_) {
@@ -1157,7 +1188,7 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
           if (step_driver_ != nullptr) {
             HETKG_RETURN_IF_ERROR(step_driver_->FlushObs());
           }
-          return halt_report();
+          return halt();
         }
       }
     } else {
@@ -1170,7 +1201,7 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
         HETKG_RETURN_IF_ERROR(MaybeInjectProcessFaults());
         if (config_.halt_after_iterations > 0 &&
             global_iteration_ >= config_.halt_after_iterations) {
-          return halt_report();
+          return halt();
         }
         size_t seg = iterations_per_epoch_ - i;
         if (ckpt_manager_ != nullptr && config_.checkpoint_every > 0) {
@@ -1195,7 +1226,7 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
         }
         if (config_.halt_after_iterations > 0 &&
             global_iteration_ >= config_.halt_after_iterations) {
-          return halt_report();
+          return halt();
         }
       }
     }
@@ -1238,11 +1269,7 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
     er.remote_bytes = cluster_.TotalRemoteBytes();
-    report.total_remote_bytes += er.remote_bytes;
-    report.total_time.compute_seconds += er.epoch_time.compute_seconds;
-    report.total_time.comm_seconds += er.epoch_time.comm_seconds;
-    report.total_time.overlap_seconds += er.epoch_time.overlap_seconds;
-    report.total_wall_seconds += er.wall_seconds;
+    AddEpochTotals(&report, er);
 
     if (valid_graph_ != nullptr && !valid_triples_.empty()) {
       HETKG_ASSIGN_OR_RETURN(
@@ -1274,13 +1301,6 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
   }
   report.overall_hit_ratio = OverallHitRatio();
   report.metrics = CollectObsMetrics(cumulative_seconds_);
-  if (trace_lease.owns()) {
-    const Status trace_status = trace_lease.Finish();
-    if (!trace_status.ok()) {
-      HETKG_LOG(Warning) << "trace write failed: "
-                         << trace_status.ToString();
-    }
-  }
   if (metrics_on) {
     const Status status =
         report.metrics_series.WriteJson(config_.obs.metrics_json);
@@ -1288,7 +1308,7 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
       HETKG_LOG(Warning) << "metrics export failed: " << status.ToString();
     }
   }
-  return report;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -1658,8 +1678,13 @@ Status PsTrainingEngine::MaybeInjectProcessFaults() {
     }
     switch (fault.kind) {
       case sim::ProcessFaultKind::kWorkerCrash:
-        HETKG_RETURN_IF_ERROR(RecoverWorker(fault.machine));
-        break;
+        // Train() rewinds the run to the latest snapshot. Faults taken
+        // in the same batch count as delivered; the rewind undoes them.
+        obs::Tracer::Instant("recovery.worker_crash", "recovery", "machine",
+                             static_cast<double>(fault.machine));
+        sim_worker_crashed_ = true;
+        return Status::Internal("worker " + std::to_string(fault.machine) +
+                                " crashed");
       case sim::ProcessFaultKind::kPsShardRestart: {
         obs::Tracer::Instant("recovery.ps_shard_restart", "recovery",
                              "machine",
@@ -1670,97 +1695,6 @@ Status PsTrainingEngine::MaybeInjectProcessFaults() {
         break;
       }
     }
-  }
-  return Status::OK();
-}
-
-Status PsTrainingEngine::RecoverWorker(uint32_t machine) {
-  obs::TraceSpan span("recovery.worker_crash", "recovery");
-  span.Arg("machine", static_cast<double>(machine));
-  Worker& w = workers_[machine];
-  engine_metrics_.Increment(metric::kRecoveryWorkerCrashes);
-
-  // Everything the worker process held in memory dies with it.
-  if (w.cache != nullptr) w.cache->DropAll();
-  w.batch_queue.clear();
-  w.pending_grads.clear();
-  w.last_refresh.clear();
-
-  Result<embedding::CheckpointReader> snapshot = OpenLatestSnapshot();
-  if (snapshot.ok()) {
-    const embedding::CheckpointReader& reader = snapshot.value();
-    const std::string* ec =
-        reader.Find(embedding::SectionTag::kEngineCounters);
-    if (ec == nullptr) {
-      return Status::Corruption("snapshot missing engine section");
-    }
-    ByteReader er(*ec);
-    const uint64_t snap_iter = er.U64();
-    if (!er.ok() || snap_iter > global_iteration_) {
-      return Status::Corruption("snapshot is ahead of the running trainer");
-    }
-    bool found = false;
-    for (const std::string* payload :
-         reader.FindAll(embedding::SectionTag::kWorker)) {
-      ByteReader wr(*payload);
-      if (wr.U32() != machine) continue;
-      if (!LoadWorkerState(&w, &wr) || wr.remaining() != 0) {
-        return Status::Corruption("bad worker section");
-      }
-      found = true;
-      break;
-    }
-    if (!found) {
-      return Status::Corruption("snapshot missing crashed worker section");
-    }
-    const std::string* rt = reader.Find(embedding::SectionTag::kPsRuntime);
-    if (rt == nullptr) {
-      return Status::Corruption("snapshot missing PS runtime section");
-    }
-    ByteReader rr(*rt);
-    const std::vector<uint64_t> snap_push_seq = rr.U64Vec();
-    if (!rr.ok() || machine >= snap_push_seq.size()) {
-      return Status::Corruption("bad PS runtime section");
-    }
-    // Replay the iterations since the snapshot. The rewound sequence
-    // numbers plus the server's replay mode make every replayed push a
-    // no-op on the global tables; losses were already accumulated by
-    // the pre-crash execution, so they are discarded here.
-    server_->BeginWorkerReplay(machine, snap_push_seq[machine]);
-    for (uint64_t iter = snap_iter; iter < global_iteration_; ++iter) {
-      Step(&w, static_cast<size_t>(iter));
-      if ((iter + 1) % iterations_per_epoch_ == 0) {
-        // The original execution flushed write-back gradients at the
-        // epoch boundary; replay must track that bookkeeping too.
-        FlushPendingGradients(&w);
-      }
-    }
-    server_->EndWorkerReplay(machine);
-    engine_metrics_.Increment(metric::kRecoveryReplayedIterations,
-                              global_iteration_ - snap_iter);
-    return Status::OK();
-  }
-
-  // No snapshot: restart the worker from scratch. The sampling pipeline
-  // is rebuilt from its original seeds (deterministic, though its
-  // cursor restarts), consumed sequence numbers are never reused, and a
-  // cache-carrying worker rebuilds its hot set immediately — CPS would
-  // otherwise never reconstruct after iteration 0.
-  HETKG_LOG(Warning) << "worker " << machine
-                     << " crashed with no snapshot available ("
-                     << snapshot.status().ToString()
-                     << "); restarting from scratch";
-  w.hits = 0;
-  w.misses = 0;
-  HETKG_ASSIGN_OR_RETURN(
-      w.sampler,
-      embedding::MakeNegativeSampler(SamplerSpecFor(w.sampler_seed)));
-  w.prefetcher = std::make_unique<Prefetcher>(
-      &w.triples, config_.batch_size, w.sampler.get(), w.prefetch_seed);
-  server_->FastForwardPushSeq(machine, server_->applied_push_seq(machine));
-  if (w.cache != nullptr) {
-    ConstructHotSet(&w, sync_.config().strategy == CacheStrategy::kCps,
-                    global_iteration_);
   }
   return Status::OK();
 }

@@ -72,6 +72,11 @@ class PsTrainingEngine : public TrainingEngine {
   void EnableValidation(const graph::KnowledgeGraph* graph,
                         std::span<const Triple> valid,
                         const eval::EvalOptions& options) override;
+  /// A worker crash — an in-sim kWorkerCrash or, under the process
+  /// runtime, a dead worker process — rewinds the run to the latest
+  /// snapshot in config.checkpoint_dir and continues, so the result
+  /// equals an uninterrupted run. FailedPrecondition when no snapshot
+  /// is restorable.
   Result<TrainReport> Train(size_t num_epochs) override;
   const eval::EmbeddingLookup& Embeddings() const override {
     return lookup_;
@@ -169,10 +174,6 @@ class PsTrainingEngine : public TrainingEngine {
     std::deque<MiniBatch> batch_queue;
     uint64_t hits = 0;
     uint64_t misses = 0;
-    /// Construction seeds, kept so an in-sim worker crash with no
-    /// snapshot can rebuild its sampling pipeline deterministically.
-    uint64_t sampler_seed = 0;
-    uint64_t prefetch_seed = 0;
     /// kOnAccess refresh bookkeeping: iteration of each cached row's
     /// last pull from the PS.
     std::unordered_map<EmbKey, size_t> last_refresh;
@@ -246,13 +247,9 @@ class PsTrainingEngine : public TrainingEngine {
 
   /// PS-side half: filters `freq`, assigns the hot set, re-anchors
   /// staleness clocks at `iter`, and pulls newly admitted rows. Runs on
-  /// the pull stage (or the scheduling thread during recovery).
+  /// the pull stage.
   void ApplyHotSet(Worker* w, size_t iter, const FrequencyMap& freq,
                    uint64_t accesses);
-
-  /// Both halves back-to-back — the recovery path's rebuild, which runs
-  /// serially outside the pipeline.
-  void ConstructHotSet(Worker* w, bool whole_epoch, size_t iter);
 
   /// Ensures the worker has a mini-batch ready. Returns the prefetch
   /// access count to charge (0 when no refill happened); the caller
@@ -328,13 +325,14 @@ class PsTrainingEngine : public TrainingEngine {
 
   /// One training iteration for one worker at global iteration `iter`:
   /// routes one task through the staged pipeline inline (deterministic
-  /// mode and the recovery replay path).
+  /// mode).
   /// Returns the summed pair loss and pair count.
   std::pair<double, uint64_t> Step(Worker* w, size_t iter);
 
-  /// The body of Train(); the public Train() adds the process-runtime
-  /// crash-retry wrapper around it when a StepDriver is installed.
-  Result<TrainReport> TrainInner(size_t num_epochs);
+  /// The body of Train(): trains up to `num_epochs`, appending to
+  /// `report`. Train() wraps it in the crash-rewind loop; a resumed call
+  /// first drops what `report` holds past the restored snapshot.
+  Status TrainInner(size_t num_epochs, TrainReport* report);
 
   /// Process runtime: refreshes every worker mirror from its process
   /// (no-op in sim mode). Runs before checkpoints, halts, and the end
@@ -357,10 +355,6 @@ class PsTrainingEngine : public TrainingEngine {
   MetricRegistry CollectObsMetrics(double sim_seconds) const;
 
   // -- Crash recovery internals (DESIGN.md §9) --------------------------
-
-  /// The sampler spec Setup() would build for `seed` (shared by setup
-  /// and the no-snapshot worker recovery path).
-  embedding::NegativeSamplerSpec SamplerSpecFor(uint64_t seed) const;
 
   /// Appends meta + PS + cluster/transport + per-worker sections.
   void BuildSnapshotSections(embedding::CheckpointWriter* writer) const;
@@ -385,12 +379,9 @@ class PsTrainingEngine : public TrainingEngine {
   Result<embedding::CheckpointReader> OpenLatestSnapshot();
 
   /// Consumes due process-level fault events at an iteration boundary.
+  /// A kWorkerCrash sets sim_worker_crashed_ and fails the call, which
+  /// hands the crash to Train()'s rewind loop.
   Status MaybeInjectProcessFaults();
-
-  /// kWorkerCrash handler: drops the worker's volatile state, then
-  /// restores from the latest snapshot + idempotent replay, or rebuilds
-  /// from seeds when no snapshot exists.
-  Status RecoverWorker(uint32_t machine);
 
   TrainerConfig config_;
   SyncController sync_;
@@ -424,12 +415,15 @@ class PsTrainingEngine : public TrainingEngine {
   uint64_t epoch_pair_count_ = 0;
   /// Set only by RestoreTrainState; the next Train() starts mid-run.
   bool resume_pending_ = false;
-  /// checkpoint.*/recovery.* counters that live INSIDE the training
-  /// snapshot (both the crashed and the reference run take the same
-  /// schedule, so merging them into reports keeps bit-identity).
+  /// Set when an in-sim kWorkerCrash fires; Train() rewinds and clears.
+  bool sim_worker_crashed_ = false;
+  /// checkpoint.* counters that live INSIDE the training snapshot (both
+  /// the crashed and the reference run take the same schedule, so
+  /// merging them into reports keeps bit-identity).
   MetricRegistry engine_metrics_;
-  /// Process-local restore/fallback/orphan counters — never serialized,
-  /// never merged into reports (see TrainingEngine::RecoveryMetrics).
+  /// Process-local restore/fallback/orphan/worker-crash counters —
+  /// never serialized, never merged into reports (see
+  /// TrainingEngine::RecoveryMetrics).
   MetricRegistry recovery_metrics_;
   /// Cold-tier -> cache promotions (tier.promotions). A plain engine
   /// counter — like the table-side cold_reads counters it must never
@@ -437,9 +431,6 @@ class PsTrainingEngine : public TrainingEngine {
   /// run would diverge.
   uint64_t tier_promotions_ = 0;
   std::unique_ptr<CheckpointManager> ckpt_manager_;
-  /// Degree table for rebuilding degree-weighted samplers on recovery
-  /// (empty unless config_.degree_weighted_negatives).
-  std::vector<uint32_t> train_degrees_;
 
   // Observability (src/obs/). `obs_active_` is latched from
   // config_.obs at setup; every instrumentation branch below is gated
@@ -472,7 +463,7 @@ class PsTrainingEngine : public TrainingEngine {
   std::unique_ptr<ThreadPool> pool_;
   ParallelBatchScorer scorer_;
 
-  // Hot-set construction scratch (pull stage / recovery only).
+  // Hot-set construction scratch (pull stage only).
   std::vector<std::span<float>> rebuild_pull_spans_;
 
   // -- Pipeline engine (DESIGN.md §12) ----------------------------------

@@ -103,7 +103,9 @@ void DefineTrainerFlags(FlagParser* flags, const TrainerConfig& defaults) {
   // bit-identically; they fire even when every probability is zero.
   flags->Define("fault_worker_crash", "",
                 "scheduled worker crashes as machine:tick[,machine:tick...] "
-                "on the transport's logical clock (empty = none)");
+                "on the transport's logical clock (empty = none); each "
+                "rewinds the run to the latest snapshot, so it needs "
+                "--checkpoint_dir");
   flags->Define("fault_ps_restart", "",
                 "scheduled PS shard restarts as machine:tick[,...] "
                 "(empty = none)");

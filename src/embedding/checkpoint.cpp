@@ -14,7 +14,6 @@ namespace hetkg::embedding {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'H', 'E', 'T', 'K', 'G', 'C', 'K', '1'};
 constexpr char kMagicV2[8] = {'H', 'E', 'T', 'K', 'G', 'C', 'K', '2'};
 constexpr char kMagicV3[8] = {'H', 'E', 'T', 'K', 'G', 'C', 'K', '3'};
 
@@ -28,74 +27,6 @@ constexpr size_t kColdChunkBytes = size_t{4} << 20;
 
 std::string ColdSuffix(uint32_t base_tag) {
   return ".cold" + std::to_string(base_tag);
-}
-
-/// Order-sensitive 64-bit mix over the payload — the legacy HETKGCK1
-/// checksum, kept for read-compat only.
-uint64_t ChecksumRowsV1(const EmbeddingTable& table, uint64_t state) {
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    for (float v : table.Row(i)) {
-      uint32_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      state = (state ^ bits) * 0x100000001B3ULL;
-    }
-  }
-  return state;
-}
-
-bool ReadU64(std::ifstream& in, uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadRowsV1(std::ifstream& in, EmbeddingTable* table) {
-  std::vector<float> row(table->dim());
-  for (size_t i = 0; i < table->num_rows(); ++i) {
-    in.read(reinterpret_cast<char*>(row.data()),
-            static_cast<std::streamsize>(row.size() * sizeof(float)));
-    if (!in) return false;
-    table->SetRow(i, row);
-  }
-  return true;
-}
-
-/// Legacy fixed-layout reader (magic already consumed).
-Result<Checkpoint> LoadCheckpointV1(std::ifstream& in,
-                                    const std::string& path) {
-  uint64_t num_entities = 0;
-  uint64_t entity_dim = 0;
-  uint64_t num_relations = 0;
-  uint64_t relation_dim = 0;
-  if (!ReadU64(in, &num_entities) || !ReadU64(in, &entity_dim) ||
-      !ReadU64(in, &num_relations) || !ReadU64(in, &relation_dim)) {
-    return Status::Corruption("truncated checkpoint header in " + path);
-  }
-  if (num_entities == 0 || entity_dim == 0 || num_relations == 0 ||
-      relation_dim == 0) {
-    return Status::Corruption("zero-sized table in checkpoint header");
-  }
-  if (num_entities * entity_dim > kMaxElements ||
-      num_relations * relation_dim > kMaxElements) {
-    return Status::Corruption("implausible checkpoint shape");
-  }
-
-  Checkpoint ck;
-  ck.entities = EmbeddingTable(num_entities, entity_dim);
-  ck.relations = EmbeddingTable(num_relations, relation_dim);
-  if (!ReadRowsV1(in, &ck.entities) || !ReadRowsV1(in, &ck.relations)) {
-    return Status::Corruption("truncated checkpoint payload in " + path);
-  }
-  uint64_t stored_checksum = 0;
-  if (!ReadU64(in, &stored_checksum)) {
-    return Status::Corruption("missing checkpoint checksum in " + path);
-  }
-  uint64_t checksum = 0xCBF29CE484222325ULL;
-  checksum = ChecksumRowsV1(ck.entities, checksum);
-  checksum = ChecksumRowsV1(ck.relations, checksum);
-  if (checksum != stored_checksum) {
-    return Status::Corruption("checkpoint checksum mismatch in " + path);
-  }
-  return ck;
 }
 
 Result<EmbeddingTable> DecodeTableSection(const std::string& payload) {
@@ -583,14 +514,8 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
       return Status::IoError("cannot open " + path);
     }
     char magic[8];
-    in.read(magic, sizeof(magic));
-    if (!in) {
-      return Status::Corruption("bad checkpoint magic in " + path);
-    }
-    if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-      return LoadCheckpointV1(in, path);
-    }
-    if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
+    if (!in.read(magic, sizeof(magic)) ||
+        std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
       return Status::Corruption("bad checkpoint magic in " + path);
     }
   }

@@ -56,9 +56,8 @@ struct ColdSidecar {
 ///   repeat: u32 tag | u32 reserved(0) | u64 payload_len | payload
 ///   u32 CRC-32 (IEEE) over everything from the magic onward
 ///
-/// Little-endian throughout. The legacy HETKGCK1 layout (fixed header,
-/// two raw tables, XOR-FNV checksum) stays readable; new files are
-/// always written as HETKGCK2.
+/// Little-endian throughout. The retired HETKGCK1 layout is rejected as
+/// bad magic.
 ///
 /// Assembles sections in memory and writes the file atomically
 /// (temp file + rename), so a crash mid-write never leaves a truncated
@@ -126,8 +125,7 @@ class CheckpointWriter {
 class CheckpointReader {
  public:
   /// Reads and validates `path`; Corruption on bad magic/structure/CRC,
-  /// IoError when the file cannot be read. Rejects HETKGCK1 files (use
-  /// LoadCheckpoint for legacy eval checkpoints). HETKGCK3 files
+  /// IoError when the file cannot be read. HETKGCK3 files
   /// additionally have every cold sidecar's size and CRC verified by a
   /// streaming pass (the sidecar payloads are NOT loaded into memory).
   static Result<CheckpointReader> Open(const std::string& path);
@@ -203,8 +201,8 @@ Status SaveCheckpoint(const std::string& path, const EmbeddingTable& entities,
                       const EmbeddingTable& relations);
 
 /// Reads the embedding tables of a checkpoint — HETKGCK2 (eval-only or
-/// full training snapshot) or legacy HETKGCK1. Fails with Corruption on
-/// bad magic, size mismatch, or checksum failure.
+/// full training snapshot). Fails with Corruption on bad magic
+/// (HETKGCK1 included), size mismatch, or checksum failure.
 Result<Checkpoint> LoadCheckpoint(const std::string& path);
 
 }  // namespace hetkg::embedding

@@ -6,6 +6,13 @@
 
 namespace hetkg::obs {
 
+void MetricsSeries::DropAfter(uint64_t epoch, uint64_t iteration) {
+  std::erase_if(samples_, [&](const MetricsSample& s) {
+    return s.epoch > epoch ||
+           (s.epoch == epoch && (s.kind == "epoch" || s.iteration > iteration));
+  });
+}
+
 std::string MetricsSeries::ToJson() const {
   std::string out;
   out.append("{\"samples\":[\n");

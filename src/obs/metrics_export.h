@@ -63,6 +63,11 @@ class MetricsSeries {
   const std::vector<MetricsSample>& samples() const { return samples_; }
   bool empty() const { return samples_.empty(); }
 
+  /// Drops every sample taken after `iteration` of `epoch` (the epoch
+  /// sample of `epoch` included): a crash rewind to that point records
+  /// them again.
+  void DropAfter(uint64_t epoch, uint64_t iteration);
+
   std::string ToJson() const;
 
   /// Writes ToJson() to `path`.

@@ -92,8 +92,7 @@ ParameterServer::ParameterServer(const PsConfig& config,
       entity_opt_(std::move(entity_opt)),
       relation_opt_(std::move(relation_opt)),
       push_seq_(cluster->num_machines(), 0),
-      applied_push_seq_(cluster->num_machines(), 0),
-      replaying_(cluster->num_machines(), 0) {}
+      applied_push_seq_(cluster->num_machines(), 0) {}
 
 void ParameterServer::InitEmbeddings() {
   Rng rng(config_.init_seed);
@@ -322,36 +321,11 @@ PushResult ParameterServer::PushGradBatch(
     }
   }
 
-  // Replayed pushes (worker-crash recovery) repeat work the server has
-  // already applied: the rewound sequence numbers make the remote
-  // messages look like duplicates above, and here the apply loop is
-  // suppressed wholesale, covering the local-shard rows that never
-  // carry a sequence number.
-  if (replaying_[worker_machine]) {
-    metrics_.Increment(metric::kRecoveryReplaySkippedRows, keys.size());
-    return result;
-  }
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!scratch_shard_ok_[scratch_key_owner_[i]]) continue;
     ApplyGradient(keys[i], grads[i]);
   }
   return result;
-}
-
-void ParameterServer::BeginWorkerReplay(uint32_t machine,
-                                        uint64_t snapshot_push_seq) {
-  HETKG_CHECK(machine < replaying_.size());
-  replaying_[machine] = 1;
-  push_seq_[machine] = snapshot_push_seq;
-}
-
-void ParameterServer::EndWorkerReplay(uint32_t machine) {
-  HETKG_CHECK(machine < replaying_.size());
-  replaying_[machine] = 0;
-  // Replay normally consumes exactly the original sequence numbers, but
-  // never let a recovered worker reuse one the server already applied.
-  push_seq_[machine] = std::max(push_seq_[machine],
-                                applied_push_seq_[machine]);
 }
 
 void ParameterServer::SaveState(embedding::CheckpointWriter* w) const {
@@ -465,7 +439,6 @@ Status ParameterServer::LoadState(const embedding::CheckpointReader& reader) {
   push_seq_ = std::move(push_seq);
   applied_push_seq_ = std::move(applied);
   metrics_ = std::move(metrics);
-  std::fill(replaying_.begin(), replaying_.end(), 0);
   return Status::OK();
 }
 

@@ -171,35 +171,6 @@ class ParameterServer {
 
   // -- Crash recovery (DESIGN.md §9) ------------------------------------
 
-  /// Enters replay mode for `machine`'s worker: its push sequence
-  /// counter is rewound to `snapshot_push_seq` so replayed pushes carry
-  /// the same sequence numbers as the originals, and NO gradient from
-  /// this worker is applied (local-shard rows bypass the sequence
-  /// guard, so replay must suppress the apply loop wholesale). Skipped
-  /// rows are counted in recovery.replay_skipped_push_rows.
-  void BeginWorkerReplay(uint32_t machine, uint64_t snapshot_push_seq);
-
-  /// Leaves replay mode; the sequence counter is fast-forwarded past
-  /// every already-applied sequence, so post-recovery pushes are fresh.
-  void EndWorkerReplay(uint32_t machine);
-
-  bool IsReplaying(uint32_t machine) const {
-    return replaying_[machine] != 0;
-  }
-
-  /// Sequence-ledger accessors for the engine's worker snapshots.
-  uint64_t push_seq(uint32_t machine) const { return push_seq_[machine]; }
-  uint64_t applied_push_seq(uint32_t machine) const {
-    return applied_push_seq_[machine];
-  }
-
-  /// Advances `machine`'s push counter to at least `seq` (recovering a
-  /// crashed worker without a snapshot: no replay happens, but future
-  /// pushes must not reuse consumed sequence numbers).
-  void FastForwardPushSeq(uint32_t machine, uint64_t seq) {
-    push_seq_[machine] = std::max(push_seq_[machine], seq);
-  }
-
   /// Appends the server's full state to a HETKGCK2 snapshot: both
   /// tables (the shared eval tags 1/2), both AdaGrad accumulators, the
   /// per-worker sequence ledger, and the server metrics.
@@ -249,9 +220,6 @@ class ParameterServer {
   /// idempotence guard against duplicated deliveries.
   std::vector<uint64_t> push_seq_;
   std::vector<uint64_t> applied_push_seq_;
-
-  /// Per-worker replay flags (BeginWorkerReplay/EndWorkerReplay).
-  std::vector<char> replaying_;
 
   // Scratch, reused across batches to avoid per-call allocation.
   std::vector<uint32_t> scratch_owner_rows_;

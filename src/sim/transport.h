@@ -1,6 +1,7 @@
 #ifndef HETKG_SIM_TRANSPORT_H_
 #define HETKG_SIM_TRANSPORT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,8 +24,8 @@ struct FaultOutage {
 enum class ProcessFaultKind : uint32_t {
   /// A worker process dies, losing all volatile worker state (cache,
   /// batch queue, pending write-back gradients, staleness clocks). The
-  /// engine recovers it from the latest checkpoint (replaying the
-  /// iterations since, idempotently) or restarts it from scratch.
+  /// PS engines rewind the whole run to the latest checkpoint, exactly
+  /// as for a real worker SIGKILL under --runtime=proc.
   kWorkerCrash = 0,
   /// The PS shard hosted on a machine restarts, losing its in-memory
   /// rows and optimizer accumulators. The server restores them from the
@@ -167,6 +168,14 @@ class Transport {
   /// True while unconsumed process faults remain scheduled.
   bool HasPendingProcessFaults() const {
     return process_cursor_ < process_schedule_.size();
+  }
+
+  /// Events delivered so far. A crash rewind restores an older cursor
+  /// with the snapshot; the engine hands the pre-restore count back to
+  /// KeepProcessFaultsDelivered so a delivered crash never fires twice.
+  size_t process_faults_delivered() const { return process_cursor_; }
+  void KeepProcessFaultsDelivered(size_t delivered) {
+    process_cursor_ = std::max(process_cursor_, delivered);
   }
 
   /// True when the next unconsumed process fault is already due at the

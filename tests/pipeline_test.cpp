@@ -388,8 +388,8 @@ TEST(AsyncPipelineTest, CheckpointResumeCompletesInAsyncMode) {
 }
 
 // Process faults fire at segment barriers in async mode: the scheduled
-// worker crash is detected, recovery runs, and training completes with
-// the staleness bound still intact.
+// worker crash is detected, the run rewinds to the latest snapshot, and
+// training completes with the staleness bound still intact.
 TEST(AsyncPipelineTest, WorkerCrashRecoveredInAsyncMode) {
   const auto dataset = PipelineDataset();
   TrainerConfig config = AsyncConfig(2);
@@ -404,7 +404,9 @@ TEST(AsyncPipelineTest, WorkerCrashRecoveredInAsyncMode) {
                                  dataset.graph, dataset.split.train)
                     .value();
   const auto report = engine->Train(2).value();
-  EXPECT_EQ(report.metrics.Get(metric::kRecoveryWorkerCrashes), 1u);
+  EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kRecoveryWorkerCrashes),
+            1u);
+  EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kCheckpointRestores), 1u);
   ASSERT_EQ(report.epochs.size(), 2u);
   const auto* ps = static_cast<core::PsTrainingEngine*>(engine.get());
   EXPECT_LE(ps->MaxObservedPipelineLag(), 2u);

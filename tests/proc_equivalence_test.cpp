@@ -133,6 +133,51 @@ TEST_F(ProcEquivalenceTest, SigkilledWorkerRecoversBitIdentically) {
       << "post-SIGKILL recovery diverged from the uninterrupted run";
 }
 
+// The epoch and `total` lines a run prints on stdout.
+std::string ReportLines(const std::string& log_path) {
+  std::istringstream log(ReadFileBytes(log_path));
+  std::string lines;
+  for (std::string line; std::getline(log, line);) {
+    if (line.rfind("epoch ", 0) == 0 || line.rfind("total ", 0) == 0) {
+      lines += line + "\n";
+    }
+  }
+  return lines;
+}
+
+// A recovered crash rewinds to a snapshot taken after epoch 1, yet the
+// run still prints every epoch and the totals of the uninterrupted run
+// — for a real SIGKILL under --runtime=proc and for an in-sim
+// --fault_worker_crash alike — and says on stderr that it recovered.
+TEST_F(ProcEquivalenceTest, CrashedRunsPrintEveryEpoch) {
+  const std::string dir = FreshDir("proc-report");
+  const std::string common = "--epochs 3 --checkpoint_every 10 ";
+  for (const std::string mode : {"sim", "proc"}) {
+    SCOPED_TRACE(mode);
+    const std::string runtime =
+        mode == "sim" ? "--machines 2 " : "--runtime proc --workers 2 ";
+    const std::string crash = mode == "sim" ? "--fault_worker_crash 1:150 "
+                                            : "--proc_kill 1:100 ";
+    const std::string base = dir + "/" + mode;
+    ASSERT_EQ(RunTrainer(common + runtime + "--checkpoint_dir " + base +
+                             "_ck_ref",
+                         base + "_ref.log"),
+              0)
+        << ReadFileBytes(base + "_ref.log");
+    ASSERT_EQ(RunTrainer(common + runtime + crash + "--checkpoint_dir " +
+                             base + "_ck_crash",
+                         base + "_crash.log"),
+              0)
+        << ReadFileBytes(base + "_crash.log");
+    const std::string ref = ReportLines(base + "_ref.log");
+    EXPECT_NE(ref.find("epoch  3"), std::string::npos) << ref;
+    EXPECT_EQ(ReportLines(base + "_crash.log"), ref);
+    EXPECT_NE(ReadFileBytes(base + "_crash.log")
+                  .find("recovered 1 worker crash from checkpoint"),
+              std::string::npos);
+  }
+}
+
 // Cross-process observability (DESIGN.md §14): turning on tracing and
 // metrics export under --runtime=proc must not move a single trained
 // bit, on either transport, while the merged artifacts prove the

@@ -1,7 +1,8 @@
 // Crash-recovery tests (DESIGN.md §9): halt + resume bit-identity at
 // several thread counts, resume under active message faults, in-sim
-// worker-crash / PS-shard-restart determinism, manifest fallback on a
-// corrupt snapshot, and PBG epoch-granularity resume.
+// worker crashes rewinding to a run bit-identical to an uninterrupted
+// one, PS-shard-restart determinism, manifest fallback on a corrupt
+// snapshot, and PBG epoch-granularity resume.
 
 #include <unistd.h>
 
@@ -10,10 +11,13 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/checkpoint_manager.h"
+#include "core/ps_engine.h"
 #include "core/trainer.h"
 #include "graph/synthetic.h"
 #include "sim/transport.h"
@@ -81,15 +85,30 @@ std::string EmbeddingBytes(const eval::EmbeddingLookup& emb) {
   return bytes;
 }
 
+/// Report counters minus tier.*: those count cold-tier work actually
+/// done, which a crash rewind repeats. Untiered runs have none.
+std::vector<std::pair<std::string, uint64_t>> TrainingCounters(
+    const core::TrainReport& report) {
+  auto counters = report.metrics.Snapshot();
+  std::erase_if(counters, [](const auto& kv) {
+    return kv.first.rfind("tier.", 0) == 0;
+  });
+  return counters;
+}
+
 void ExpectReportsMatch(const core::TrainReport& a,
                         const core::TrainReport& b) {
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (size_t e = 0; e < a.epochs.size(); ++e) {
+    EXPECT_EQ(a.epochs[e].epoch, b.epochs[e].epoch);
     EXPECT_DOUBLE_EQ(a.epochs[e].mean_loss, b.epochs[e].mean_loss);
     EXPECT_DOUBLE_EQ(a.epochs[e].cumulative_seconds,
                      b.epochs[e].cumulative_seconds);
+    EXPECT_EQ(a.epochs[e].remote_bytes, b.epochs[e].remote_bytes);
   }
-  EXPECT_EQ(a.metrics.Snapshot(), b.metrics.Snapshot());
+  EXPECT_EQ(a.total_remote_bytes, b.total_remote_bytes);
+  EXPECT_DOUBLE_EQ(a.total_time.total_seconds(), b.total_time.total_seconds());
+  EXPECT_EQ(TrainingCounters(a), TrainingCounters(b));
 }
 
 // A run halted mid-epoch (simulated hard crash) and resumed from its
@@ -219,62 +238,151 @@ TEST(RecoveryTest, ResumeUnderMessageFaultsBitIdentical) {
   ExpectReportsMatch(report, reference);
 }
 
-// An in-sim worker crash recovered from a checkpoint is deterministic:
-// the same schedule replayed twice (fresh directories) produces
-// identical embeddings and metric snapshots.
-TEST(RecoveryTest, WorkerCrashRecoveryIsDeterministic) {
-  const auto dataset = graph::GenerateDataset(SmallSpec()).value();
-
-  const auto run = [&dataset](const std::string& dir) {
-    core::TrainerConfig config = RecoveryConfig();
-    config.checkpoint_dir = FreshDir(dir);
-    config.checkpoint_every = 5;
-    sim::ProcessFault crash;
-    crash.kind = sim::ProcessFaultKind::kWorkerCrash;
-    crash.machine = 1;
-    crash.tick = 150;
-    config.fault.process_faults.push_back(crash);
-    auto engine = core::MakeEngine(core::SystemKind::kHetKgDps, config,
-                                   dataset.graph, dataset.split.train)
-                      .value();
-    auto report = engine->Train(2).value();
-    return std::make_pair(EmbeddingBytes(engine->Embeddings()),
-                          std::move(report));
-  };
-
-  const auto [bytes_a, report_a] = run("rec-crash-a");
-  const auto [bytes_b, report_b] = run("rec-crash-b");
-  EXPECT_EQ(report_a.metrics.Get(metric::kRecoveryWorkerCrashes), 1u);
-  EXPECT_EQ(bytes_a, bytes_b);
-  ExpectReportsMatch(report_a, report_b);
+sim::ProcessFault WorkerCrash(uint32_t machine, uint64_t tick) {
+  sim::ProcessFault crash;
+  crash.kind = sim::ProcessFaultKind::kWorkerCrash;
+  crash.machine = machine;
+  crash.tick = tick;
+  return crash;
 }
 
-// A worker crash with no checkpoint directory takes the cold-restart
-// path: the run still completes and is deterministic.
-TEST(RecoveryTest, WorkerCrashColdRestartWithoutCheckpoints) {
+// An in-sim worker crash rewinds the whole run to the latest snapshot,
+// exactly as a killed worker process does under --runtime=proc: the
+// crashed run ends bit-identical to an uninterrupted run with the same
+// checkpoint schedule — embeddings, every epoch, totals and counters —
+// at any thread count, for both cache engines, under quantized tiered
+// storage, and across more than one crash.
+TEST(RecoveryTest, WorkerCrashEqualsUninterruptedRun) {
   const auto dataset = graph::GenerateDataset(SmallSpec()).value();
 
-  const auto run = [&dataset]() {
+  struct Case {
+    std::string name;
+    core::SystemKind system;
+    size_t threads;
+    std::vector<sim::ProcessFault> crashes;
+    bool tiered = false;
+  };
+  const std::vector<Case> cases = {
+      {"dps-t1", core::SystemKind::kHetKgDps, 1, {WorkerCrash(1, 150)}},
+      {"dps-t2", core::SystemKind::kHetKgDps, 2, {WorkerCrash(1, 150)}},
+      {"dps-t8", core::SystemKind::kHetKgDps, 8, {WorkerCrash(1, 150)}},
+      {"cps-t2", core::SystemKind::kHetKgCps, 2, {WorkerCrash(1, 150)}},
+      {"dps-int8", core::SystemKind::kHetKgDps, 2, {WorkerCrash(1, 150)},
+       true},
+      {"dps-two-crashes", core::SystemKind::kHetKgDps, 2,
+       {WorkerCrash(1, 150), WorkerCrash(0, 400)}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto run = [&](const std::string& tag, bool crash) {
+      core::TrainerConfig config = RecoveryConfig();
+      config.num_threads = c.threads;
+      config.checkpoint_dir = FreshDir("rec-crash-" + c.name + "-" + tag);
+      config.checkpoint_every = 5;
+      if (c.tiered) {
+        config.storage.enabled = true;
+        config.storage.cold_dir =
+            FreshDir("rec-crash-cold-" + c.name + "-" + tag);
+        std::filesystem::create_directories(config.storage.cold_dir);
+        config.storage.dtype = embedding::ColdDtype::kInt8;
+      }
+      if (crash) config.fault.process_faults = c.crashes;
+      auto engine = core::MakeEngine(c.system, config, dataset.graph,
+                                     dataset.split.train)
+                        .value();
+      auto trained = engine->Train(2);
+      EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+      auto report = std::move(trained).value();
+      EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kRecoveryWorkerCrashes),
+                crash ? c.crashes.size() : 0u);
+      EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kCheckpointRestores),
+                crash ? c.crashes.size() : 0u);
+      return std::make_pair(EmbeddingBytes(engine->Embeddings()),
+                            std::move(report));
+    };
+
+    const auto [ref_bytes, reference] = run("ref", false);
+    const auto [crash_bytes, crashed] = run("crash", true);
+    EXPECT_EQ(crash_bytes, ref_bytes);
+    ExpectReportsMatch(crashed, reference);
+    // The crash count stays out of the report, like the restore count.
+    EXPECT_EQ(crashed.metrics.Get(metric::kRecoveryWorkerCrashes), 0u);
+  }
+}
+
+// A crash just past an epoch boundary whose latest snapshot precedes
+// that boundary re-runs the epoch's tail: the rewound run reports the
+// epoch once, with the totals and metric samples of an uninterrupted
+// run.
+TEST(RecoveryTest, WorkerCrashRewindAcrossEpochBoundary) {
+  const auto dataset = graph::GenerateDataset(SmallSpec()).value();
+  const auto make = [&dataset](const core::TrainerConfig& config) {
+    auto engine = core::PsTrainingEngine::Create(config, dataset.graph,
+                                                 dataset.split.train);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return std::move(engine).value();
+  };
+  const size_t ipe = make(RecoveryConfig())->IterationsPerEpoch();
+
+  // The transport clock two iterations into the second epoch.
+  core::TrainerConfig probe_config = RecoveryConfig();
+  probe_config.halt_after_iterations = ipe + 2;
+  auto probe = make(probe_config);
+  ASSERT_TRUE(probe->Train(2).ok());
+  const uint64_t crash_tick = probe->transport().clock();
+
+  const auto run = [&](const std::string& tag, bool crash) {
     core::TrainerConfig config = RecoveryConfig();
-    sim::ProcessFault crash;
-    crash.kind = sim::ProcessFaultKind::kWorkerCrash;
-    crash.machine = 0;
-    crash.tick = 1;  // Due at the first iteration boundary.
-    config.fault.process_faults.push_back(crash);
-    auto engine = core::MakeEngine(core::SystemKind::kHetKgCps, config,
-                                   dataset.graph, dataset.split.train)
-                      .value();
+    config.checkpoint_dir = FreshDir("rec-boundary-" + tag);
+    config.checkpoint_every = ipe - 1;  // Last snapshot before the crash.
+    config.obs.metrics_json = config.checkpoint_dir + ".metrics.json";
+    config.obs.metrics_window = 4;
+    if (crash) config.fault.process_faults = {WorkerCrash(1, crash_tick)};
+    auto engine = make(config);
     auto report = engine->Train(2).value();
+    EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kCheckpointRestores),
+              crash ? 1u : 0u);
     return std::make_pair(EmbeddingBytes(engine->Embeddings()),
                           std::move(report));
   };
+  const auto [ref_bytes, reference] = run("ref", false);
+  const auto [crash_bytes, crashed] = run("crash", true);
+  EXPECT_EQ(crash_bytes, ref_bytes);
+  ExpectReportsMatch(crashed, reference);
+  const auto& ref_samples = reference.metrics_series.samples();
+  const auto& crash_samples = crashed.metrics_series.samples();
+  ASSERT_EQ(crash_samples.size(), ref_samples.size());
+  for (size_t i = 0; i < ref_samples.size(); ++i) {
+    EXPECT_EQ(crash_samples[i].kind, ref_samples[i].kind);
+    EXPECT_EQ(crash_samples[i].epoch, ref_samples[i].epoch);
+    EXPECT_EQ(crash_samples[i].iteration, ref_samples[i].iteration);
+    EXPECT_DOUBLE_EQ(crash_samples[i].sim_seconds,
+                     ref_samples[i].sim_seconds);
+    EXPECT_EQ(crash_samples[i].metrics.Snapshot(),
+              ref_samples[i].metrics.Snapshot());
+  }
+}
 
-  const auto [bytes_a, report_a] = run();
-  const auto [bytes_b, report_b] = run();
-  EXPECT_EQ(report_a.metrics.Get(metric::kRecoveryWorkerCrashes), 1u);
-  EXPECT_EQ(report_a.metrics.Get(metric::kRecoveryReplayedIterations), 0u);
-  EXPECT_EQ(bytes_a, bytes_b);
-  ExpectReportsMatch(report_a, report_b);
+// A worker crash with no restorable snapshot fails the run the same
+// way in both runtimes, instead of continuing from a state no
+// uninterrupted run would reach.
+TEST(RecoveryTest, WorkerCrashWithoutCheckpointsFails) {
+  const auto dataset = graph::GenerateDataset(SmallSpec()).value();
+
+  core::TrainerConfig config = RecoveryConfig();
+  config.fault.process_faults.push_back(
+      WorkerCrash(0, 1));  // Due at the first iteration boundary.
+  auto engine = core::MakeEngine(core::SystemKind::kHetKgCps, config,
+                                 dataset.graph, dataset.split.train)
+                    .value();
+  const auto report = engine->Train(2);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status().ToString().find("no checkpoint is restorable"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kRecoveryWorkerCrashes),
+            1u);
 }
 
 // A PS shard restart reloads the shard from the latest snapshot (or
