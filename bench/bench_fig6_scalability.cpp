@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         core::SystemKind::kHetKgDps}) {
     double single_machine_time = 0.0;
     for (size_t machines : machine_counts) {
-      core::TrainerConfig config = base;
+      core::TrainerConfig config = bench::ConfigForSystem(system, base);
       config.num_machines = machines;
       config.pbg_partitions = 2 * machines;
       const std::string tag = std::string(core::SystemKindName(system)) +
@@ -44,10 +44,11 @@ int main(int argc, char** argv) {
       config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
       config.obs.metrics_json =
           bench::SuffixedPath(base.obs.metrics_json, tag);
-      auto engine = core::MakeEngine(system, config, dataset.graph,
-                                     dataset.split.train)
-                        .value();
-      const auto report = engine->Train(1).value();
+      auto engine = core::ValueOrExit(
+          core::MakeEngine(system, config, dataset.graph,
+                           dataset.split.train),
+          "engine");
+      const auto report = core::ValueOrExit(engine->Train(1), "train");
       const double t = report.total_time.total_seconds();
       if (machines == 1) single_machine_time = t;
       table.AddRow({std::string(core::SystemKindName(system)),
@@ -80,9 +81,10 @@ int main(int argc, char** argv) {
         config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
         config.obs.metrics_json =
             bench::SuffixedPath(base.obs.metrics_json, tag);
-        auto engine = core::MakeEngine(core::SystemKind::kHetKgDps, config,
-                                       dataset.graph, dataset.split.train)
-                          .value();
+        auto engine = core::ValueOrExit(
+            core::MakeEngine(core::SystemKind::kHetKgDps, config,
+                             dataset.graph, dataset.split.train),
+            "engine");
         auto* ps_engine =
             dynamic_cast<core::PsTrainingEngine*>(engine.get());
         net::ProcOptions options;
@@ -98,10 +100,11 @@ int main(int argc, char** argv) {
           options.fault.reset_prob = 0.01;
           options.fault.delay_prob = 0.01;
         }
-        auto coordinator =
-            net::ProcCoordinator::ForkWorkers(ps_engine, options).value();
+        auto coordinator = core::ValueOrExit(
+            net::ProcCoordinator::ForkWorkers(ps_engine, options),
+            "proc launch");
         Stopwatch wall;
-        const auto report = engine->Train(1).value();
+        const auto report = core::ValueOrExit(engine->Train(1), "train");
         const double wall_s = wall.ElapsedSeconds();
         const Status stopped = coordinator->Shutdown();
         if (!stopped.ok()) {

@@ -136,16 +136,15 @@ std::string SuffixedPath(const std::string& path, const std::string& tag) {
 }
 
 core::TrainerConfig ConfigFromFlags(const FlagParser& flags) {
-  Result<core::TrainerConfig> config = BindFlags(flags);
-  HETKG_CHECK(config.ok()) << config.status().ToString();
-  return std::move(config).value();
+  return core::ValueOrExit(BindFlags(flags), "");
 }
 
 eval::EvalOptions EvalOptionsFromFlags(const FlagParser& flags) {
   eval::EvalOptions options;
-  options.max_triples = static_cast<size_t>(flags.GetInt("eval_triples"));
-  options.num_candidates =
-      static_cast<size_t>(flags.GetInt("eval_candidates"));
+  options.max_triples = static_cast<size_t>(
+      core::ValueOrExit(flags.TryGetInt("eval_triples"), ""));
+  options.num_candidates = static_cast<size_t>(
+      core::ValueOrExit(flags.TryGetInt("eval_candidates"), ""));
   options.num_threads = static_cast<size_t>(flags.GetInt("threads"));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed")) ^ 0xEEAA;
   return options;
@@ -153,12 +152,8 @@ eval::EvalOptions EvalOptionsFromFlags(const FlagParser& flags) {
 
 graph::SyntheticDataset GetDataset(const std::string& name,
                                    const FlagParser& flags) {
-  Result<graph::SyntheticSpec> preset = core::PresetSpecFromFlags(name, flags);
-  if (!preset.ok()) {
-    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
-    std::exit(2);
-  }
-  graph::SyntheticSpec spec = std::move(preset).value();
+  graph::SyntheticSpec spec =
+      core::ValueOrExit(core::PresetSpecFromFlags(name, flags), "");
   spec.num_triples = std::max<size_t>(10000, spec.num_triples);
 
   // Generation is the slowest part of a bench run; cache the snapshot
@@ -175,11 +170,11 @@ graph::SyntheticDataset GetDataset(const std::string& name,
     return graph::SyntheticDataset{std::move(cached->graph),
                                    std::move(cached->split)};
   }
-  auto dataset = graph::GenerateDataset(spec);
-  HETKG_CHECK(dataset.ok()) << dataset.status().ToString();
-  graph::SaveDataset(cache_path, dataset->graph, dataset->split)
+  graph::SyntheticDataset dataset =
+      core::ValueOrExit(graph::GenerateDataset(spec), "generate");
+  graph::SaveDataset(cache_path, dataset.graph, dataset.split)
       .ok();  // Best-effort; regeneration is always possible.
-  return std::move(dataset).value();
+  return dataset;
 }
 
 void InitBench(FlagParser* flags, int argc, char** argv) {
@@ -189,11 +184,7 @@ void InitBench(FlagParser* flags, int argc, char** argv) {
                  flags->Usage(argv[0]).c_str());
     std::exit(2);
   }
-  if (const Result<core::TrainerConfig> bound = BindFlags(*flags);
-      !bound.ok()) {
-    std::fprintf(stderr, "%s\n", bound.status().ToString().c_str());
-    std::exit(2);
-  }
+  core::ValueOrExit(BindFlags(*flags), "");
   SetLogLevel(LogLevel::kWarning);
 }
 
@@ -213,6 +204,12 @@ void ApplyDatasetDefaults(const std::string& dataset_name,
   }
 }
 
+core::TrainerConfig ConfigForSystem(core::SystemKind system,
+                                    core::TrainerConfig config) {
+  if (system == core::SystemKind::kPbg) config.storage = {};
+  return config;
+}
+
 RunOutcome RunSystem(core::SystemKind system,
                      const core::TrainerConfig& config,
                      const graph::SyntheticDataset& dataset,
@@ -220,13 +217,14 @@ RunOutcome RunSystem(core::SystemKind system,
                      bool with_validation_curve) {
   // Benches train several systems against one set of flags; give each
   // run its own trace/metrics file instead of overwriting the last.
-  core::TrainerConfig run_config = config;
+  core::TrainerConfig run_config = ConfigForSystem(system, config);
   const std::string tag(core::SystemKindName(system));
   run_config.obs.trace_out = SuffixedPath(config.obs.trace_out, tag);
   run_config.obs.metrics_json = SuffixedPath(config.obs.metrics_json, tag);
-  auto engine = core::MakeEngine(system, run_config, dataset.graph,
-                                 dataset.split.train);
-  HETKG_CHECK(engine.ok()) << engine.status().ToString();
+  auto engine = core::ValueOrExit(core::MakeEngine(system, run_config,
+                                             dataset.graph,
+                                             dataset.split.train),
+                            "engine");
   if (with_validation_curve) {
     eval::EvalOptions valid_options = eval_options;
     valid_options.max_triples =
@@ -234,21 +232,20 @@ RunOutcome RunSystem(core::SystemKind system,
                              ? 200
                              : eval_options.max_triples,
                          200);
-    (*engine)->EnableValidation(&dataset.graph, dataset.split.valid,
-                                valid_options);
+    engine->EnableValidation(&dataset.graph, dataset.split.valid,
+                             valid_options);
   }
   if (!run_config.resume_from.empty()) {
-    const Status status =
-        (*engine)->RestoreTrainState(run_config.resume_from);
+    const Status status = engine->RestoreTrainState(run_config.resume_from);
     HETKG_CHECK(status.ok()) << status.ToString();
   }
-  auto report = (*engine)->Train(num_epochs);
-  HETKG_CHECK(report.ok()) << report.status().ToString();
+  core::TrainReport report =
+      core::ValueOrExit(engine->Train(num_epochs), "train");
   auto metrics = eval::EvaluateLinkPrediction(
-      (*engine)->Embeddings(), (*engine)->ScoreFn(), dataset.graph,
+      engine->Embeddings(), engine->ScoreFn(), dataset.graph,
       dataset.split.test, eval_options);
   HETKG_CHECK(metrics.ok()) << metrics.status().ToString();
-  return RunOutcome{std::move(report).value(), std::move(metrics).value()};
+  return RunOutcome{std::move(report), std::move(metrics).value()};
 }
 
 void RunLinkPredictionTable(const std::string& title,
@@ -266,10 +263,6 @@ void RunLinkPredictionTable(const std::string& title,
     for (core::SystemKind system : kSystems) {
       core::TrainerConfig config = base_config;
       config.model = model;
-      // PBG rejects --storage=tiered (it swaps whole partitions from
-      // disk by design — that IS its tiering); keep the baseline
-      // comparable by running it in-RAM as always.
-      if (system == core::SystemKind::kPbg) config.storage = {};
       // RunSystem adds the per-system suffix; the model tag here keeps
       // multi-model tables from reusing a file across models.
       const std::string tag(embedding::ModelKindName(model));

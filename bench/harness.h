@@ -88,7 +88,16 @@ void ApplyDatasetDefaults(const std::string& dataset_name,
                           const FlagParser& flags,
                           core::TrainerConfig* config);
 
-/// Trains `system` on a dataset and evaluates the test split.
+/// `config` as the benches run `system`: PBG trains in RAM even under
+/// --storage=tiered, because it rejects tiered storage (it swaps whole
+/// partitions from disk by design — that IS its tiering), and the
+/// baseline stays comparable that way.
+core::TrainerConfig ConfigForSystem(core::SystemKind system,
+                                    core::TrainerConfig config);
+
+/// Trains `system` on a dataset and evaluates the test split, with
+/// ConfigForSystem applied; a failed engine build or run exits through
+/// core::ValueOrExit.
 struct RunOutcome {
   core::TrainReport report;
   eval::EvalMetrics test_metrics;

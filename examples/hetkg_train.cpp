@@ -22,15 +22,12 @@ namespace {
 // command); exits 2 on malformed input.
 std::vector<hetkg::net::ProcKill> ParseProcKills(const hetkg::FlagParser& flags,
                                                  const char* flag_name) {
-  auto events = hetkg::core::ParseProcessFaultSpec(
-      flags.GetString(flag_name), hetkg::sim::ProcessFaultKind::kWorkerCrash);
-  if (!events.ok()) {
-    std::fprintf(stderr, "--%s: %s\n", flag_name,
-                 events.status().message().c_str());
-    std::exit(2);
-  }
   std::vector<hetkg::net::ProcKill> kills;
-  for (const hetkg::sim::ProcessFault& f : *events) {
+  for (const hetkg::sim::ProcessFault& f : hetkg::core::ValueOrExit(
+           hetkg::core::ParseProcessFaultSpec(
+               flags.GetString(flag_name),
+               hetkg::sim::ProcessFaultKind::kWorkerCrash),
+           std::string("--") + flag_name)) {
     kills.push_back(hetkg::net::ProcKill{f.machine, f.tick});
   }
   return kills;
@@ -83,7 +80,7 @@ int main(int argc, char** argv) {
   // same engine; checkpoints stay bit-identical to --runtime=sim.
   flags.Define("runtime", "sim",
                "sim (in-process simulated workers) | proc (one real OS "
-               "process per worker; PS engines, deterministic mode only)");
+               "process per worker; PS engines, no --async)");
   flags.Define("workers", "0",
                "proc runtime: worker process count (overrides --machines "
                "when > 0)");
@@ -138,56 +135,25 @@ int main(int argc, char** argv) {
                  flags.Usage(argv[0]).c_str());
     return 2;
   }
-  Result<core::TrainerConfig> bound = core::TrainerConfigFromFlags(flags);
-  if (!bound.ok()) {
-    std::fprintf(stderr, "%s\n", bound.status().ToString().c_str());
+  core::TrainerConfig config =
+      core::ValueOrExit(core::TrainerConfigFromFlags(flags), "");
+  // Launcher-only flags; a malformed value exits 2 naming the flag.
+  const auto int_flag = [&flags](const char* name) {
+    return core::ValueOrExit(flags.TryGetInt(name), "");
+  };
+  const auto prob_flag = [&flags](const char* name) {
+    return core::ValueOrExit(flags.TryGetDouble(name), "");
+  };
+  const int64_t epochs = int_flag("epochs");
+  const int64_t worker_id = int_flag("worker_id");
+  const int64_t listen_port = int_flag("listen");
+  if (epochs < 0 || worker_id < 0 || listen_port < 0 ||
+      listen_port > 65535) {
+    std::fprintf(stderr,
+                 "--epochs and --worker_id must be >= 0, --listen a port "
+                 "in 0..65535\n");
     return 2;
   }
-  core::TrainerConfig config = std::move(bound).value();
-
-  // ---- Dataset --------------------------------------------------------
-  graph::SyntheticDataset dataset{
-      graph::KnowledgeGraph::Create(1, 1, {}, "empty").value(), {}};
-  if (!flags.GetString("train").empty()) {
-    auto loaded = graph::LoadTsvDataset(flags.GetString("train"),
-                                        flags.GetString("valid"),
-                                        flags.GetString("test"), "tsv");
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    dataset.graph = std::move(loaded->graph);
-    dataset.split = std::move(loaded->split);
-  } else {
-    auto spec = core::PresetSpecFromFlags(flags.GetString("dataset"), flags);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      return 2;
-    }
-    auto generated = graph::GenerateDataset(*spec);
-    if (!generated.ok()) {
-      std::fprintf(stderr, "generate: %s\n",
-                   generated.status().ToString().c_str());
-      return 1;
-    }
-    dataset = std::move(generated).value();
-  }
-  std::printf("dataset %s: %zu entities, %zu relations, %zu train triples\n",
-              dataset.graph.name().c_str(), dataset.graph.num_entities(),
-              dataset.graph.num_relations(), dataset.split.train.size());
-
-  // ---- Engine ---------------------------------------------------------
-  auto system = core::ParseSystemKind(flags.GetString("system"));
-  auto model = embedding::ParseModelKind(flags.GetString("model"));
-  if (!system.ok() || !model.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!system.ok() ? system.status() : model.status())
-                     .ToString()
-                     .c_str());
-    return 2;
-  }
-  config.model = *model;
-  config.loss = flags.GetString("loss");
   const std::string runtime = flags.GetString("runtime");
   if (runtime != "sim" && runtime != "proc") {
     std::fprintf(stderr, "--runtime: want sim | proc, got \"%s\"\n",
@@ -195,30 +161,71 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool proc_runtime = runtime == "proc";
-  if (proc_runtime && flags.GetInt("workers") > 0) {
-    config.num_machines = static_cast<size_t>(flags.GetInt("workers"));
+  if (const int64_t workers = int_flag("workers");
+      proc_runtime && workers > 0) {
+    config.num_machines = static_cast<size_t>(workers);
     config.pbg_partitions = 2 * config.num_machines;
   }
-  if (config.storage.enabled && proc_runtime) {
-    std::fprintf(stderr,
-                 "--storage=tiered supports --runtime=sim only (the "
-                 "proc coordinator owns the PS in its own process; its "
-                 "workers never map the cold slabs)\n");
+  net::ProcOptions proc_options;
+  proc_options.transport = core::ValueOrExit(
+      net::ParseTransportKind(flags.GetString("proc_transport")), "");
+  proc_options.retry = net::RetryPolicy::FromFaultConfig(config.fault);
+  proc_options.kills = ParseProcKills(flags, "proc_kill");
+  proc_options.stops = ParseProcKills(flags, "proc_stop");
+  net::WireFaultConfig& wire = proc_options.fault;
+  wire.drop_prob = prob_flag("proc_fault_drop");
+  wire.duplicate_prob = prob_flag("proc_fault_duplicate");
+  wire.delay_prob = prob_flag("proc_fault_delay");
+  wire.corrupt_prob = prob_flag("proc_fault_corrupt");
+  wire.reset_prob = prob_flag("proc_fault_reset");
+  wire.seed = static_cast<uint64_t>(int_flag("proc_fault_seed"));
+  wire.enabled = wire.drop_prob > 0.0 || wire.duplicate_prob > 0.0 ||
+                 wire.delay_prob > 0.0 || wire.corrupt_prob > 0.0 ||
+                 wire.reset_prob > 0.0;
+  proc_options.heartbeat_ms = static_cast<int>(int_flag("proc_heartbeat_ms"));
+  proc_options.watchdog_ms = static_cast<int>(int_flag("proc_watchdog_ms"));
+  const std::string connect = flags.GetString("connect");
+  if (!connect.empty() && !proc_runtime) {
+    std::fprintf(stderr, "--connect requires --runtime=proc\n");
     return 2;
   }
 
-  auto engine =
-      core::MakeEngine(*system, config, dataset.graph, dataset.split.train);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
-    return 1;
+  // ---- Dataset --------------------------------------------------------
+  graph::SyntheticDataset dataset{
+      graph::KnowledgeGraph::Create(1, 1, {}, "empty").value(), {}};
+  if (!flags.GetString("train").empty()) {
+    auto loaded = core::ValueOrExit(
+        graph::LoadTsvDataset(flags.GetString("train"),
+                              flags.GetString("valid"),
+                              flags.GetString("test"), "tsv"),
+        "load");
+    dataset.graph = std::move(loaded.graph);
+    dataset.split = std::move(loaded.split);
+  } else {
+    dataset = core::ValueOrExit(
+        graph::GenerateDataset(core::ValueOrExit(
+            core::PresetSpecFromFlags(flags.GetString("dataset"), flags),
+            "")),
+        "generate");
   }
+  std::printf("dataset %s: %zu entities, %zu relations, %zu train triples\n",
+              dataset.graph.name().c_str(), dataset.graph.num_entities(),
+              dataset.graph.num_relations(), dataset.split.train.size());
 
-  // ---- Process runtime setup ------------------------------------------
-  net::ProcOptions proc_options;
+  // ---- Engine ---------------------------------------------------------
+  const core::SystemKind system =
+      core::ValueOrExit(core::ParseSystemKind(flags.GetString("system")), "");
+  config.model = core::ValueOrExit(
+      embedding::ParseModelKind(flags.GetString("model")), "");
+  config.loss = flags.GetString("loss");
+
+  const std::unique_ptr<core::TrainingEngine> engine = core::ValueOrExit(
+      core::MakeEngine(system, config, dataset.graph, dataset.split.train),
+      "engine");
+
   core::PsTrainingEngine* ps_engine = nullptr;
   if (proc_runtime) {
-    ps_engine = dynamic_cast<core::PsTrainingEngine*>(engine->get());
+    ps_engine = dynamic_cast<core::PsTrainingEngine*>(engine.get());
     if (ps_engine == nullptr) {
       std::fprintf(stderr,
                    "--runtime=proc supports the parameter-server engines "
@@ -226,69 +233,21 @@ int main(int argc, char** argv) {
                    "keep --runtime=sim for it)\n");
       return 2;
     }
-    auto transport =
-        net::ParseTransportKind(flags.GetString("proc_transport"));
-    if (!transport.ok()) {
-      std::fprintf(stderr, "%s\n", transport.status().ToString().c_str());
-      return 2;
-    }
-    proc_options.transport = *transport;
-    proc_options.retry = net::RetryPolicy::FromFaultConfig(config.fault);
-    proc_options.kills = ParseProcKills(flags, "proc_kill");
-    proc_options.stops = ParseProcKills(flags, "proc_stop");
-    proc_options.fault.drop_prob = flags.GetDouble("proc_fault_drop");
-    proc_options.fault.duplicate_prob =
-        flags.GetDouble("proc_fault_duplicate");
-    proc_options.fault.delay_prob = flags.GetDouble("proc_fault_delay");
-    proc_options.fault.corrupt_prob = flags.GetDouble("proc_fault_corrupt");
-    proc_options.fault.reset_prob = flags.GetDouble("proc_fault_reset");
-    proc_options.fault.seed =
-        static_cast<uint64_t>(flags.GetInt("proc_fault_seed"));
-    proc_options.fault.enabled = proc_options.fault.drop_prob > 0.0 ||
-                                 proc_options.fault.duplicate_prob > 0.0 ||
-                                 proc_options.fault.delay_prob > 0.0 ||
-                                 proc_options.fault.corrupt_prob > 0.0 ||
-                                 proc_options.fault.reset_prob > 0.0;
-    proc_options.heartbeat_ms = flags.GetInt("proc_heartbeat_ms");
-    proc_options.watchdog_ms = flags.GetInt("proc_watchdog_ms");
-    if (proc_options.watchdog_ms > 0 && proc_options.heartbeat_ms <= 0) {
-      std::fprintf(stderr,
-                   "--proc_watchdog_ms needs --proc_heartbeat_ms > 0 (a "
-                   "silent-but-healthy worker would be escalated); pass "
-                   "--proc_watchdog_ms=0 to disable the watchdog\n");
-      return 2;
-    }
-    if (!proc_options.stops.empty() &&
-        (proc_options.watchdog_ms <= 0 || proc_options.heartbeat_ms <= 0)) {
-      std::fprintf(stderr,
-                   "--proc_stop freezes a worker forever; only the "
-                   "watchdog can recover it (needs --proc_heartbeat_ms > 0 "
-                   "and --proc_watchdog_ms > 0)\n");
-      return 2;
-    }
   }
-  if (!flags.GetString("connect").empty()) {
+  if (!connect.empty()) {
     // Standalone worker: serve the remote coordinator until shutdown;
     // no local training, evaluation, or output.
-    if (!proc_runtime) {
-      std::fprintf(stderr, "--connect requires --runtime=proc\n");
+    const auto [host, port] = ParseHostPort(connect);
+    if (static_cast<uint64_t>(worker_id) >= config.num_machines) {
+      std::fprintf(stderr,
+                   "--worker_id %lld out of range (%zu machines)\n",
+                   static_cast<long long>(worker_id), config.num_machines);
       return 2;
     }
-    const auto [host, port] = ParseHostPort(flags.GetString("connect"));
-    const auto machine =
-        static_cast<uint32_t>(flags.GetInt("worker_id"));
-    if (machine >= config.num_machines) {
-      std::fprintf(stderr, "--worker_id %u out of range (%zu machines)\n",
-                   machine, config.num_machines);
-      return 2;
-    }
-    const Status served = net::RunStandaloneWorker(
-        ps_engine, machine, host, port, proc_options);
-    if (!served.ok()) {
-      std::fprintf(stderr, "worker: %s\n", served.ToString().c_str());
-      return 1;
-    }
-    return 0;
+    const Status served =
+        net::RunStandaloneWorker(ps_engine, static_cast<uint32_t>(worker_id),
+                                 host, port, proc_options);
+    return served.ok() ? 0 : core::ReportError(served, "worker");
   }
 
   eval::EvalOptions eval_options;
@@ -298,17 +257,14 @@ int main(int argc, char** argv) {
   if (!dataset.split.valid.empty()) {
     eval::EvalOptions valid_options = eval_options;
     valid_options.max_triples = 200;
-    (*engine)->EnableValidation(&dataset.graph, dataset.split.valid,
+    engine->EnableValidation(&dataset.graph, dataset.split.valid,
                                 valid_options);
   }
 
   // ---- Train ----------------------------------------------------------
   if (!config.resume_from.empty()) {
-    const Status restored = (*engine)->RestoreTrainState(config.resume_from);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "resume: %s\n", restored.ToString().c_str());
-      return 1;
-    }
+    const Status restored = engine->RestoreTrainState(config.resume_from);
+    if (!restored.ok()) return core::ReportError(restored, "resume");
     std::printf("resumed training state from %s\n",
                 config.resume_from.c_str());
   }
@@ -316,27 +272,22 @@ int main(int argc, char** argv) {
   // are shipped (listen) the resumed state, then train through them.
   std::unique_ptr<net::ProcCoordinator> coordinator;
   if (proc_runtime) {
-    const auto listen_port = static_cast<uint16_t>(flags.GetInt("listen"));
     auto launched =
         listen_port != 0
-            ? net::ProcCoordinator::ListenForWorkers(ps_engine, listen_port,
-                                                     proc_options)
+            ? net::ProcCoordinator::ListenForWorkers(
+                  ps_engine, static_cast<uint16_t>(listen_port), proc_options)
             : net::ProcCoordinator::ForkWorkers(ps_engine, proc_options);
     if (!launched.ok()) {
-      std::fprintf(stderr, "proc launch: %s\n",
-                   launched.status().ToString().c_str());
-      return 1;
+      return core::ReportError(launched.status(), "proc launch");
     }
     coordinator = std::move(launched).value();
   }
-  auto report = (*engine)->Train(static_cast<size_t>(flags.GetInt("epochs")));
-  if (!report.ok()) {
-    std::fprintf(stderr, "train: %s\n", report.status().ToString().c_str());
-    return 1;
-  }
+  auto trained = engine->Train(static_cast<size_t>(epochs));
+  if (!trained.ok()) return core::ReportError(trained.status(), "train");
+  const core::TrainReport& report = *trained;
   // A recovered crash leaves stdout identical to a fault-free run; the
   // process-local recovery counters say what happened.
-  const MetricRegistry& recovery = (*engine)->RecoveryMetrics();
+  const MetricRegistry& recovery = engine->RecoveryMetrics();
   if (const uint64_t crashes = recovery.Get(metric::kRecoveryWorkerCrashes);
       crashes > 0) {
     const uint64_t restores = recovery.Get(metric::kCheckpointRestores);
@@ -348,7 +299,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(restores),
                  restores == 1 ? "" : "s");
   }
-  for (const auto& epoch : report->epochs) {
+  for (const auto& epoch : report.epochs) {
     std::printf("epoch %2zu  loss=%.4f  sim=%s  hit=%.2f%s\n",
                 epoch.epoch + 1, epoch.mean_loss,
                 HumanSeconds(epoch.epoch_time.total_seconds()).c_str(),
@@ -360,24 +311,24 @@ int main(int argc, char** argv) {
                     : "");
   }
   std::printf("total %s simulated, %s transferred, hit ratio %.3f\n",
-              HumanSeconds(report->total_time.total_seconds()).c_str(),
-              HumanBytes(static_cast<double>(report->total_remote_bytes))
+              HumanSeconds(report.total_time.total_seconds()).c_str(),
+              HumanBytes(static_cast<double>(report.total_remote_bytes))
                   .c_str(),
-              report->overall_hit_ratio);
+              report.overall_hit_ratio);
   if (config.fault.enabled) {
     std::printf(
         "faults: %llu dropped, %llu retries, %llu duplicates ignored, "
         "%llu stale serves, %llu lost push rows\n",
         static_cast<unsigned long long>(
-            report->metrics.Get(metric::kTransportDroppedMessages)),
+            report.metrics.Get(metric::kTransportDroppedMessages)),
         static_cast<unsigned long long>(
-            report->metrics.Get(metric::kTransportRetries)),
+            report.metrics.Get(metric::kTransportRetries)),
         static_cast<unsigned long long>(
-            report->metrics.Get(metric::kTransportDuplicatesIgnored)),
+            report.metrics.Get(metric::kTransportDuplicatesIgnored)),
         static_cast<unsigned long long>(
-            report->metrics.Get(metric::kTransportStaleServes)),
+            report.metrics.Get(metric::kTransportStaleServes)),
         static_cast<unsigned long long>(
-            report->metrics.Get(metric::kTransportLostPushRows)));
+            report.metrics.Get(metric::kTransportLostPushRows)));
   }
   if (coordinator != nullptr) {
     // Real-transport totals (DESIGN.md §14): always counted, even with
@@ -408,7 +359,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(totals.watchdog_escalations));
     }
     if (config.obs.Enabled()) {
-      const Histogram* rpc = report->metrics.FindHistogram(
+      const Histogram* rpc = report.metrics.FindHistogram(
           std::string(metric::kNetRpcLatency) + "." +
           coordinator->TransportName());
       if (rpc != nullptr && rpc->count() > 0) {
@@ -424,11 +375,8 @@ int main(int argc, char** argv) {
 
   const std::string save_state = flags.GetString("save_state");
   if (!save_state.empty()) {
-    const Status saved = (*engine)->SaveTrainState(save_state);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "save_state: %s\n", saved.ToString().c_str());
-      return 1;
-    }
+    const Status saved = engine->SaveTrainState(save_state);
+    if (!saved.ok()) return core::ReportError(saved, "save_state");
     std::printf("training state saved to %s\n", save_state.c_str());
   }
   if (coordinator != nullptr) {
@@ -460,7 +408,7 @@ int main(int argc, char** argv) {
   // ---- Evaluate + checkpoint -------------------------------------------
   if (!dataset.split.test.empty()) {
     auto metrics = eval::EvaluateLinkPrediction(
-        (*engine)->Embeddings(), (*engine)->ScoreFn(), dataset.graph,
+        engine->Embeddings(), engine->ScoreFn(), dataset.graph,
         dataset.split.test, eval_options);
     if (metrics.ok()) {
       std::printf("test: MRR=%.3f MR=%.1f Hits@1=%.3f Hits@3=%.3f "
@@ -471,11 +419,8 @@ int main(int argc, char** argv) {
   }
   const std::string checkpoint = flags.GetString("checkpoint");
   if (!checkpoint.empty()) {
-    const Status saved = core::SaveEngineCheckpoint(**engine, checkpoint);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "checkpoint: %s\n", saved.ToString().c_str());
-      return 1;
-    }
+    const Status saved = core::SaveEngineCheckpoint(*engine, checkpoint);
+    if (!saved.ok()) return core::ReportError(saved, "checkpoint");
     std::printf("checkpoint saved to %s\n", checkpoint.c_str());
   }
   return 0;

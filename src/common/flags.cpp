@@ -102,10 +102,6 @@ int64_t FlagParser::GetInt(std::string_view name) const {
   return ValueOrDie(TryGetInt(name));
 }
 
-double FlagParser::GetDouble(std::string_view name) const {
-  return ValueOrDie(TryGetDouble(name));
-}
-
 bool FlagParser::GetBool(std::string_view name) const {
   return ValueOrDie(TryGetBool(name));
 }

@@ -28,7 +28,6 @@ class FlagParser {
   /// which catches programming errors in the bench code itself.
   std::string GetString(std::string_view name) const;
   int64_t GetInt(std::string_view name) const;
-  double GetDouble(std::string_view name) const;
   bool GetBool(std::string_view name) const;
 
   /// Like the Get* accessors, but a value that does not parse is

@@ -33,6 +33,4 @@ uint64_t ReadStatusKb(const char* field) {
 
 uint64_t CurrentRssBytes() { return ReadStatusKb("VmRSS:") * 1024; }
 
-uint64_t PeakRssBytes() { return ReadStatusKb("VmHWM:") * 1024; }
-
 }  // namespace hetkg

@@ -11,12 +11,6 @@ namespace hetkg {
 /// RSS column of the scaling benches.
 uint64_t CurrentRssBytes();
 
-/// High-water resident-set size in bytes (Linux: VmHWM). 0 when
-/// unavailable. The bench tables report this one: a run's verdict
-/// ("did full-scale Freebase fit the budget?") is about the peak, not
-/// the instantaneous value at print time.
-uint64_t PeakRssBytes();
-
 }  // namespace hetkg
 
 #endif  // HETKG_COMMON_PROC_STATS_H_

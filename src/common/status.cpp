@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace hetkg {
 
 std::string_view StatusCodeName(StatusCode code) {
@@ -39,5 +42,15 @@ std::string Status::ToString() const {
   out += message_;
   return out;
 }
+
+namespace internal {
+
+void DieOnErrorResult(const Status& status) {
+  std::fprintf(stderr, "Result::value() on an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 
 }  // namespace hetkg

@@ -92,8 +92,14 @@ class Status {
   std::string message_;
 };
 
+namespace internal {
+/// Prints `status` to stderr and aborts; Result::value() on an error.
+[[noreturn]] void DieOnErrorResult(const Status& status);
+}  // namespace internal
+
 /// Either a value of type `T` or an error `Status`. Accessing the value
-/// of an errored result is a programming error (checked by assert).
+/// of an errored result is a programming error: it aborts with the
+/// status text in every build type.
 template <typename T>
 class Result {
  public:
@@ -110,15 +116,15 @@ class Result {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -133,6 +139,10 @@ class Result {
   }
 
  private:
+  void CheckOk() const {
+    if (!ok()) [[unlikely]] internal::DieOnErrorResult(status_);
+  }
+
   std::optional<T> value_;
   Status status_;
 };

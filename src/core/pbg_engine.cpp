@@ -24,15 +24,8 @@ PbgEngine::PbgEngine(const TrainerConfig& config,
 Result<std::unique_ptr<PbgEngine>> PbgEngine::Create(
     const TrainerConfig& config, const graph::KnowledgeGraph& graph,
     const std::vector<Triple>& train) {
-  if (config.num_machines == 0) {
-    return Status::InvalidArgument("need at least one machine");
-  }
   if (train.empty()) {
     return Status::InvalidArgument("empty training set");
-  }
-  if (config.pbg_partitions < config.num_machines) {
-    return Status::InvalidArgument(
-        "PBG needs at least as many partitions as machines");
   }
   std::unique_ptr<PbgEngine> engine(new PbgEngine(config, graph));
   HETKG_RETURN_IF_ERROR(engine->Setup(train));
@@ -46,13 +39,6 @@ Status PbgEngine::Setup(const std::vector<Triple>& train) {
     HETKG_LOG(Warning)
         << "--async applies to the PS engines; PBG trains serially";
   }
-  // Kernel dispatch for the score/optimizer hot loops. Every path is
-  // bit-identical (DESIGN.md §10), so this only affects speed.
-  HETKG_ASSIGN_OR_RETURN(const embedding::kernels::KernelMode kernel_mode,
-                         embedding::kernels::ParseKernelMode(config_.kernel));
-  embedding::kernels::SetKernelMode(kernel_mode);
-  embedding::kernels::LogDispatchOnce();
-
   HETKG_ASSIGN_OR_RETURN(
       score_fn_, embedding::MakeScoreFunction(config_.model, config_.dim));
   HETKG_ASSIGN_OR_RETURN(
@@ -526,12 +512,6 @@ Result<TrainReport> PbgEngine::Train(size_t num_epochs) {
 void PbgEngine::MaybeInjectProcessFaults() {
   if (!transport_.HasPendingProcessFaults()) return;
   for (const sim::ProcessFault& fault : transport_.TakeDueProcessFaults()) {
-    if (fault.machine >= config_.num_machines) {
-      HETKG_LOG(Warning) << "process fault targets machine "
-                         << fault.machine << " of " << config_.num_machines
-                         << "; ignored";
-      continue;
-    }
     switch (fault.kind) {
       case sim::ProcessFaultKind::kWorkerCrash:
         obs::Tracer::Instant("recovery.worker_crash", "recovery",

@@ -86,14 +86,8 @@ PsTrainingEngine::PsTrainingEngine(const TrainerConfig& config,
 Result<std::unique_ptr<PsTrainingEngine>> PsTrainingEngine::Create(
     const TrainerConfig& config, const graph::KnowledgeGraph& graph,
     const std::vector<Triple>& train) {
-  if (config.num_machines == 0) {
-    return Status::InvalidArgument("need at least one machine");
-  }
   if (train.empty()) {
     return Status::InvalidArgument("empty training set");
-  }
-  if (config.batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be positive");
   }
   HETKG_ASSIGN_OR_RETURN(SyncController sync,
                          SyncController::Create(config.sync));
@@ -103,26 +97,23 @@ Result<std::unique_ptr<PsTrainingEngine>> PsTrainingEngine::Create(
   return engine;
 }
 
-std::string_view PsTrainingEngine::name() const {
+SystemKind PsTrainingEngine::system() const {
   switch (sync_.config().strategy) {
     case CacheStrategy::kCps:
-      return "HET-KG-C";
+      return SystemKind::kHetKgCps;
     case CacheStrategy::kDps:
-      return "HET-KG-D";
+      return SystemKind::kHetKgDps;
     case CacheStrategy::kNone:
-      return "DGL-KE";
+      break;
   }
-  return "Unknown";
+  return SystemKind::kDglKe;
+}
+
+std::string_view PsTrainingEngine::name() const {
+  return SystemKindName(system());
 }
 
 Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
-  // Kernel dispatch for the score/optimizer hot loops. Every path is
-  // bit-identical (DESIGN.md §10), so this only affects speed.
-  HETKG_ASSIGN_OR_RETURN(const embedding::kernels::KernelMode kernel_mode,
-                         embedding::kernels::ParseKernelMode(config_.kernel));
-  embedding::kernels::SetKernelMode(kernel_mode);
-  embedding::kernels::LogDispatchOnce();
-
   // Scoring model and loss.
   HETKG_ASSIGN_OR_RETURN(
       score_fn_, embedding::MakeScoreFunction(config_.model, config_.dim));
@@ -998,22 +989,6 @@ MetricRegistry PsTrainingEngine::CollectObsMetrics(double sim_seconds) const {
 }
 
 Result<TrainReport> PsTrainingEngine::Train(size_t num_epochs) {
-  if (step_driver_ != nullptr) {
-    // Process runtime (DESIGN.md §13). The step driver services worker
-    // RPCs strictly in sim order, which is only well-defined for the
-    // deterministic scheduler, and real worker processes make the sim's
-    // scheduled process faults redundant — real SIGKILLs replace them.
-    if (async_mode_) {
-      return Status::InvalidArgument(
-          "--runtime=proc requires the deterministic scheduler (drop "
-          "--async)");
-    }
-    if (!config_.fault.process_faults.empty()) {
-      return Status::InvalidArgument(
-          "--runtime=proc replaces simulated process faults with real "
-          "worker kills (drop --fault_process)");
-    }
-  }
   // Start a tracing session when the config asks for one and the
   // embedding binary didn't already; one session spans every rewind,
   // and the lease stops it (writing the file) on every exit path.
@@ -1022,15 +997,17 @@ Result<TrainReport> PsTrainingEngine::Train(size_t num_epochs) {
   for (;;) {
     const Status status = TrainInner(num_epochs, &report);
     if (status.ok()) break;
-    const bool crashed = step_driver_ != nullptr ? step_driver_->WorkerFailed()
-                                                 : sim_worker_crashed_;
+    const bool crashed =
+        sim_worker_crashed_ ||
+        (step_driver_ != nullptr && step_driver_->WorkerFailed());
     if (!crashed) return status;
-    // A worker died mid-run: an in-sim kWorkerCrash or, under the
-    // process runtime, a real worker process. Recovery is the same full
-    // rewind in both (DESIGN.md §9): every other worker is discarded
-    // too, the latest snapshot is restored, and TrainInner continues
-    // down the resume path — so the final bytes and report equal an
-    // uninterrupted run with the same checkpoint schedule.
+    // A worker died mid-run: an in-sim kWorkerCrash (in either runtime)
+    // or, under the process runtime, a real worker process. Recovery is
+    // the same full rewind in every case (DESIGN.md §9): every other
+    // worker is discarded too, the latest snapshot is restored, and
+    // TrainInner continues down the resume path — so the final bytes
+    // and report equal an uninterrupted run with the same checkpoint
+    // schedule.
     sim_worker_crashed_ = false;
     recovery_metrics_.Increment(metric::kRecoveryWorkerCrashes);
     const size_t delivered = transport_.process_faults_delivered();
@@ -1673,9 +1650,6 @@ Result<embedding::CheckpointReader> PsTrainingEngine::OpenLatestSnapshot() {
 Status PsTrainingEngine::MaybeInjectProcessFaults() {
   if (!transport_.HasPendingProcessFaults()) return Status::OK();
   for (const sim::ProcessFault& fault : transport_.TakeDueProcessFaults()) {
-    if (fault.machine >= workers_.size()) {
-      return Status::OutOfRange("process fault machine out of range");
-    }
     switch (fault.kind) {
       case sim::ProcessFaultKind::kWorkerCrash:
         // Train() rewinds the run to the latest snapshot. Faults taken

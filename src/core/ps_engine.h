@@ -69,6 +69,10 @@ class PsTrainingEngine : public TrainingEngine {
       const std::vector<Triple>& train);
 
   std::string_view name() const override;
+  /// The paper system this engine configuration is (by sync strategy).
+  SystemKind system() const;
+  /// The effective config (sync.strategy set by MakeEngine).
+  const TrainerConfig& config() const { return config_; }
   void EnableValidation(const graph::KnowledgeGraph* graph,
                         std::span<const Triple> valid,
                         const eval::EvalOptions& options) override;
@@ -103,7 +107,6 @@ class PsTrainingEngine : public TrainingEngine {
   /// any pull stage ran at — the staleness-bound property tests assert
   /// it never exceeds --max_pipeline_staleness.
   size_t MaxObservedPipelineLag() const { return max_observed_lag_; }
-  uint64_t PipelineStalenessWaits() const { return staleness_waits_total_; }
 
   /// Crash recovery (DESIGN.md §9): full-training-state snapshots.
   Status SaveTrainState(const std::string& path) const override;

@@ -114,18 +114,6 @@ class SyncController {
     return config_.async_pipeline ? config_.pipeline_staleness : 0;
   }
 
-  /// True when iteration `iter` may pull given `completed` fully pushed
-  /// iterations — the admission predicate the pull stage blocks on.
-  bool PullAdmissible(size_t iter, size_t completed) const {
-    return iter <= completed + PipelineStaleness();
-  }
-
-  /// Worst-case lag of any value an iteration reads: the cache bound P
-  /// plus the pipeline run-ahead N (uncached rows see only N).
-  size_t TotalMaxStaleness() const {
-    return MaxStaleness() + PipelineStaleness();
-  }
-
  private:
   explicit SyncController(const SyncConfig& config) : config_(config) {}
   SyncConfig config_;

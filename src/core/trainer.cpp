@@ -2,6 +2,7 @@
 
 #include "core/pbg_engine.h"
 #include "core/ps_engine.h"
+#include "embedding/kernels.h"
 
 namespace hetkg::core {
 
@@ -21,9 +22,55 @@ Status SaveEngineCheckpoint(const TrainingEngine& engine,
   return embedding::SaveCheckpoint(path, entities, relations);
 }
 
+Status ValidateConfig(SystemKind system, const TrainerConfig& config,
+                      RuntimeKind runtime) {
+  if (config.num_machines == 0) {
+    return Status::InvalidArgument("need at least one machine");
+  }
+  if (config.batch_size == 0) {
+    return Status::InvalidArgument("batch_size must be positive");
+  }
+  HETKG_RETURN_IF_ERROR(
+      embedding::kernels::ParseKernelMode(config.kernel).status());
+  for (const sim::ProcessFault& fault : config.fault.process_faults) {
+    if (fault.machine >= config.num_machines) {
+      return Status::InvalidArgument(
+          "process fault machine out of range: machine " +
+          std::to_string(fault.machine) + " of " +
+          std::to_string(config.num_machines));
+    }
+  }
+  if (system == SystemKind::kPbg) {
+    if (config.pbg_partitions < config.num_machines) {
+      return Status::InvalidArgument(
+          "PBG needs at least as many partitions as machines");
+    }
+    if (config.storage.enabled) {
+      return Status::InvalidArgument(
+          "tiered storage requires a parameter-server engine; PBG "
+          "partitions swap whole buckets and gain nothing from "
+          "row-granular tiering");
+    }
+  }
+  if (runtime == RuntimeKind::kProc && config.sync.async_pipeline) {
+    // The coordinator services worker RPCs strictly in sim order, which
+    // the async pipeline's overlapping stages do not have.
+    return Status::InvalidArgument(
+        "--runtime=proc requires the deterministic scheduler (drop "
+        "--async)");
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<TrainingEngine>> MakeEngine(
     SystemKind system, const TrainerConfig& config,
     const graph::KnowledgeGraph& graph, const std::vector<Triple>& train) {
+  HETKG_RETURN_IF_ERROR(ValidateConfig(system, config, RuntimeKind::kSim));
+  // Kernel dispatch for the score/optimizer hot loops. Every path is
+  // bit-identical (DESIGN.md §10), so this only affects speed.
+  embedding::kernels::SetKernelMode(
+      embedding::kernels::ParseKernelMode(config.kernel).value());
+  embedding::kernels::LogDispatchOnce();
   TrainerConfig effective = config;
   switch (system) {
     case SystemKind::kHetKgCps:
@@ -36,12 +83,6 @@ Result<std::unique_ptr<TrainingEngine>> MakeEngine(
       effective.sync.strategy = CacheStrategy::kNone;
       break;
     case SystemKind::kPbg: {
-      if (effective.storage.enabled) {
-        return Status::InvalidArgument(
-            "tiered storage requires a parameter-server engine; PBG "
-            "partitions swap whole buckets and gain nothing from "
-            "row-granular tiering");
-      }
       HETKG_ASSIGN_OR_RETURN(std::unique_ptr<PbgEngine> engine,
                              PbgEngine::Create(effective, graph, train));
       return std::unique_ptr<TrainingEngine>(std::move(engine));

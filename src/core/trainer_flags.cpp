@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 
 #include "embedding/tiered_store.h"
@@ -293,6 +294,16 @@ Result<std::vector<sim::ProcessFault>> ParseProcessFaultSpec(
     pos = comma + 1;
   }
   return events;
+}
+
+int ReportError(const Status& status, std::string_view what) {
+  if (what.empty()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  } else {
+    std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(what.size()),
+                 what.data(), status.ToString().c_str());
+  }
+  return status.code() == StatusCode::kInvalidArgument ? 2 : 1;
 }
 
 void DefineDatasetFlags(FlagParser* flags, double triple_fraction) {

@@ -1,8 +1,10 @@
 #ifndef HETKG_CORE_TRAINER_FLAGS_H_
 #define HETKG_CORE_TRAINER_FLAGS_H_
 
+#include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -39,6 +41,21 @@ Result<TrainerConfig> TrainerConfigFromFlags(const FlagParser& flags);
 /// string is the empty schedule.
 Result<std::vector<sim::ProcessFault>> ParseProcessFaultSpec(
     const std::string& spec, sim::ProcessFaultKind kind);
+
+/// For the command-line binaries: prints "`what`: <status>" (just the
+/// status when `what` is empty) to stderr and returns the exit code, 2
+/// for InvalidArgument (a rejected flag value or setting combination)
+/// and 1 for any other error. Returning it from main() runs the
+/// destructors that reap proc workers and remove cold-tier slabs.
+int ReportError(const Status& status, std::string_view what);
+
+/// The value of `result`; on an error exits with ReportError's code,
+/// skipping destructors, so only for steps before any engine exists.
+template <typename T>
+T ValueOrExit(Result<T> result, std::string_view what) {
+  if (!result.ok()) std::exit(ReportError(result.status(), what));
+  return std::move(result).value();
+}
 
 /// Registers --triple_fraction (defaulting to `triple_fraction`) and
 /// --freebase_scale, the scale knobs of the synthetic presets.

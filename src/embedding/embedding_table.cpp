@@ -176,20 +176,6 @@ void EmbeddingTable::AccumulateRow(size_t i, std::span<const float> delta) {
   SetRow(i, slot);
 }
 
-void EmbeddingTable::Fill(float value) {
-  if (f32_data_ != nullptr) {
-    std::fill(f32_data_, f32_data_ + num_rows_ * dim_, value);
-    return;
-  }
-  // Encode one constant row, then replicate its bytes.
-  std::vector<float> scratch(dim_, value);
-  std::vector<uint8_t> encoded(row_bytes_);
-  EncodeColdRow(dtype_, scratch, encoded.data());
-  for (size_t i = 0; i < num_rows_; ++i) {
-    std::memcpy(encoded_ + i * row_bytes_, encoded.data(), row_bytes_);
-  }
-}
-
 void EmbeddingTable::InitUniform(Rng* rng, float bound) {
   if (f32_data_ != nullptr) {
     const size_t n = num_rows_ * dim_;

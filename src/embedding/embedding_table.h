@@ -81,9 +81,6 @@ class EmbeddingTable {
   /// quantized; gradient accumulation itself is always fp32).
   void AccumulateRow(size_t i, std::span<const float> delta);
 
-  /// Fills every entry with `value` (typically 0 for gradient buffers).
-  void Fill(float value);
-
   /// Uniform init in [-bound, bound]; the conventional KGE choice is
   /// bound = 6 / sqrt(dim) (Xavier-style), which InitXavierUniform uses.
   /// All inits draw RNG values in row-major element order on every

@@ -30,6 +30,29 @@ constexpr int kShutdownGraceMs = 5'000;
 
 uint8_t TypeByte(MsgType t) { return static_cast<uint8_t>(t); }
 
+/// What both launch modes check before starting a fleet: the engine's
+/// config under the process runtime's rules, and `options` against
+/// itself.
+Status ValidateLaunch(const core::PsTrainingEngine& engine,
+                      const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(core::ValidateConfig(
+      engine.system(), engine.config(), core::RuntimeKind::kProc));
+  if (options.watchdog_ms > 0 && options.heartbeat_ms <= 0) {
+    return Status::InvalidArgument(
+        "--proc_watchdog_ms needs --proc_heartbeat_ms > 0 (a "
+        "silent-but-healthy worker would be escalated); pass "
+        "--proc_watchdog_ms=0 to disable the watchdog");
+  }
+  if (!options.stops.empty() &&
+      (options.watchdog_ms <= 0 || options.heartbeat_ms <= 0)) {
+    return Status::InvalidArgument(
+        "--proc_stop freezes a worker forever; only the watchdog can "
+        "recover it (needs --proc_heartbeat_ms > 0 and "
+        "--proc_watchdog_ms > 0)");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<TransportKind> ParseTransportKind(std::string_view name) {
@@ -362,6 +385,7 @@ int ProcWorker::Run() {
 
 Result<std::unique_ptr<ProcCoordinator>> ProcCoordinator::ForkWorkers(
     core::PsTrainingEngine* engine, const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(ValidateLaunch(*engine, options));
   std::unique_ptr<ProcCoordinator> coord(
       new ProcCoordinator(engine, options));
   coord->links_.resize(engine->workers_.size());
@@ -376,6 +400,7 @@ Result<std::unique_ptr<ProcCoordinator>> ProcCoordinator::ForkWorkers(
 Result<std::unique_ptr<ProcCoordinator>> ProcCoordinator::ListenForWorkers(
     core::PsTrainingEngine* engine, uint16_t port,
     const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(ValidateLaunch(*engine, options));
   std::unique_ptr<ProcCoordinator> coord(
       new ProcCoordinator(engine, options));
   coord->standalone_ = true;

@@ -44,7 +44,8 @@ struct ProcOptions {
   std::vector<ProcKill> kills;
   /// Scheduled worker SIGSTOPs (same schedule shape and pruning as
   /// `kills`): the worker hangs alive at the kRunStep barrier, and
-  /// only the heartbeat watchdog can tell it from a slow one.
+  /// only the heartbeat watchdog can tell it from a slow one, so stops
+  /// need watchdog_ms > 0.
   std::vector<ProcKill> stops;
   /// Wire-level fault injection (DESIGN.md §15), applied on every
   /// link in both directions; `fault.enabled` also arms the
@@ -56,7 +57,7 @@ struct ProcOptions {
   /// Coordinator watchdog: a worker whose link shows no activity (no
   /// RPC, no heartbeat) for this long mid-turn is declared hung and
   /// SIGKILLed into the rewind-and-refork recovery path. 0 disables;
-  /// requires heartbeat_ms > 0 to be meaningful.
+  /// nonzero needs heartbeat_ms > 0.
   int watchdog_ms = 15'000;
   /// Worker-side deadline on each blocking RPC reply (a vanished
   /// coordinator fails the RPC with DeadlineExceeded instead of
@@ -194,7 +195,10 @@ class ProcCoordinator final : public core::PsTrainingEngine::StepDriver {
   /// Fork-mode launch: forks one worker process per engine machine
   /// over the chosen transport (shm ring pairs created pre-fork; TCP
   /// children connect back to an ephemeral loopback listener). On
-  /// return the engine's step driver is installed.
+  /// return the engine's step driver is installed. InvalidArgument,
+  /// before anything is forked, when core::ValidateConfig rejects the
+  /// engine's config under RuntimeKind::kProc or `options` contradicts
+  /// itself (watchdog without heartbeats, stops without watchdog).
   static Result<std::unique_ptr<ProcCoordinator>> ForkWorkers(
       core::PsTrainingEngine* engine, const ProcOptions& options);
 
@@ -202,7 +206,8 @@ class ProcCoordinator final : public core::PsTrainingEngine::StepDriver {
   /// machine from externally started workers (`--connect`), matches
   /// them by their kHello machine id, and ships each its initial
   /// worker state. RestartWorkers is Unimplemented in this mode (the
-  /// coordinator cannot relaunch a remote process).
+  /// coordinator cannot relaunch a remote process). Validates like
+  /// ForkWorkers before listening.
   static Result<std::unique_ptr<ProcCoordinator>> ListenForWorkers(
       core::PsTrainingEngine* engine, uint16_t port,
       const ProcOptions& options);

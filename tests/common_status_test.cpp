@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace hetkg {
@@ -90,6 +93,16 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_EQ(*ok, 9);
   Result<int> err = UsesAssignOrReturn(-4);
   EXPECT_FALSE(err.ok());
+}
+
+// Reading the value of an error result aborts with the status text in
+// every build type, not only where assert() is compiled in.
+TEST(ResultDeathTest, ValueOfErrorAbortsWithStatusText) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Result<int> err = Status::InvalidArgument("bad dim");
+  EXPECT_DEATH((void)err.value(), "InvalidArgument: bad dim");
+  Result<std::string> moved = Status::NotFound("no such file");
+  EXPECT_DEATH((void)std::move(moved).value(), "NotFound: no such file");
 }
 
 }  // namespace

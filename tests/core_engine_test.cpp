@@ -1,3 +1,5 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/pbg_engine.h"
@@ -51,6 +53,63 @@ TEST(MakeEngineTest, RejectsInvalidConfigs) {
   EXPECT_FALSE(MakeEngine(SystemKind::kPbg, config, dataset.graph,
                           dataset.split.train)
                    .ok());
+  config = BaseConfig();
+  config.batch_size = 0;  // Used to spin PBG's batch loop forever.
+  EXPECT_EQ(MakeEngine(SystemKind::kPbg, config, dataset.graph,
+                       dataset.split.train)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Every cross-feature rule lives in ValidateConfig; each violation is
+// InvalidArgument, and the process runtime adds exactly one rule.
+TEST(ValidateConfigTest, EachRuleRejectsWithInvalidArgument) {
+  const auto rejects = [](SystemKind system, const TrainerConfig& config,
+                          RuntimeKind runtime, const std::string& words) {
+    const Status status = ValidateConfig(system, config, runtime);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find(words), std::string::npos)
+        << status.ToString();
+  };
+  for (const SystemKind system : {SystemKind::kPbg, SystemKind::kDglKe,
+                                  SystemKind::kHetKgCps,
+                                  SystemKind::kHetKgDps}) {
+    EXPECT_TRUE(ValidateConfig(system, BaseConfig(), RuntimeKind::kSim).ok());
+    TrainerConfig config = BaseConfig();
+    config.num_machines = 0;
+    rejects(system, config, RuntimeKind::kSim, "at least one machine");
+    config = BaseConfig();
+    config.batch_size = 0;
+    rejects(system, config, RuntimeKind::kSim, "batch_size");
+    config = BaseConfig();
+    config.kernel = "simd";
+    rejects(system, config, RuntimeKind::kSim, "kernel");
+    config = BaseConfig();
+    config.fault.process_faults.push_back(
+        {sim::ProcessFaultKind::kPsShardRestart, 4, 10});
+    rejects(system, config, RuntimeKind::kSim, "out of range");
+    config.fault.process_faults.back().machine = 3;
+    EXPECT_TRUE(ValidateConfig(system, config, RuntimeKind::kSim).ok());
+  }
+  TrainerConfig config = BaseConfig();
+  config.pbg_partitions = 2;
+  rejects(SystemKind::kPbg, config, RuntimeKind::kSim, "partitions");
+  EXPECT_TRUE(
+      ValidateConfig(SystemKind::kDglKe, config, RuntimeKind::kSim).ok());
+  config = BaseConfig();
+  config.storage.enabled = true;
+  rejects(SystemKind::kPbg, config, RuntimeKind::kSim,
+          "requires a parameter-server engine");
+  EXPECT_TRUE(
+      ValidateConfig(SystemKind::kHetKgDps, config, RuntimeKind::kProc).ok());
+  config = BaseConfig();
+  config.sync.async_pipeline = true;
+  EXPECT_TRUE(
+      ValidateConfig(SystemKind::kHetKgDps, config, RuntimeKind::kSim).ok());
+  rejects(SystemKind::kHetKgDps, config, RuntimeKind::kProc,
+          "deterministic scheduler");
 }
 
 TEST(MakeEngineTest, SystemNamesRoundTrip) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,23 +270,93 @@ TEST_F(ProcEquivalenceTest, KillWithoutCheckpointsFailsCleanly) {
 
 TEST_F(ProcEquivalenceTest, ProcRejectsUnsupportedModes) {
   const std::string dir = FreshDir("proc-reject");
-  EXPECT_NE(RunTrainer("--runtime proc --workers 2 --async true",
+  EXPECT_EQ(RunTrainer("--runtime proc --workers 2 --async true",
                        dir + "/async.log"),
-            0);
+            2);
   EXPECT_NE(ReadFileBytes(dir + "/async.log")
                 .find("deterministic scheduler"),
             std::string::npos);
-  EXPECT_NE(RunTrainer("--runtime proc --workers 2 --system pbg",
+  EXPECT_EQ(RunTrainer("--runtime proc --workers 2 --system pbg",
                        dir + "/pbg.log"),
-            0);
+            2);
   EXPECT_NE(ReadFileBytes(dir + "/pbg.log")
                 .find("parameter-server engines only"),
             std::string::npos);
-  EXPECT_NE(
-      RunTrainer("--runtime proc --workers 2 --fault_worker_crash 0:10",
-                 dir + "/simfault.log"),
-      0);
-  EXPECT_NE(ReadFileBytes(dir + "/simfault.log").find("real worker"),
+}
+
+// Scheduled in-sim process faults compose with the process runtime: the
+// coordinator injects them at the same iteration barriers, an in-sim
+// worker crash rewinds and re-forks the fleet like a real SIGKILL, and
+// the run ends on the sim run's exact bytes and report lines.
+TEST_F(ProcEquivalenceTest, ScheduledProcessFaultsMatchSim) {
+  const std::string dir = FreshDir("proc-simfault");
+  const std::pair<std::string, std::string> cases[] = {
+      {"crash", "--fault_worker_crash 1:150"},
+      {"restart", "--fault_ps_restart 0:40"}};
+  for (const auto& [tag, fault] : cases) {
+    SCOPED_TRACE(fault);
+    const std::string base = dir + "/" + tag;
+    const auto run = [&](const std::string& mode,
+                         const std::string& runtime) {
+      return RunTrainer("--checkpoint_every 10 " + fault + " " + runtime +
+                            " --checkpoint_dir " + base + "_ck_" + mode +
+                            " --save_state " + base + "_" + mode + ".state",
+                        base + "_" + mode + ".log");
+    };
+    ASSERT_EQ(run("sim", "--machines 2"), 0)
+        << ReadFileBytes(base + "_sim.log");
+    ASSERT_EQ(run("proc", "--runtime proc --workers 2"), 0)
+        << ReadFileBytes(base + "_proc.log");
+    const std::string sim_bytes = ReadFileBytes(base + "_sim.state");
+    ASSERT_FALSE(sim_bytes.empty());
+    EXPECT_EQ(sim_bytes, ReadFileBytes(base + "_proc.state"));
+    EXPECT_EQ(ReportLines(base + "_sim.log"),
+              ReportLines(base + "_proc.log"));
+  }
+  EXPECT_NE(ReadFileBytes(dir + "/crash_proc.log")
+                .find("recovered 1 worker crash from checkpoint"),
+            std::string::npos);
+}
+
+// Tiered storage composes with the process runtime: the coordinator
+// owns the cold tier, so an int8 tiered proc run writes the sim run's
+// snapshot and cold sidecars byte for byte, also across a real SIGKILL
+// recovered from checkpoints.
+TEST_F(ProcEquivalenceTest, TieredStorageMatchesSim) {
+  const std::string dir = FreshDir("proc-tiered");
+  const std::pair<std::string, std::string> cases[] = {
+      {"plain", ""}, {"kill", "--checkpoint_every 10"}};
+  for (const auto& [tag, schedule] : cases) {
+    SCOPED_TRACE(tag);
+    const std::string base = dir + "/" + tag;
+    const auto run = [&](const std::string& mode,
+                         const std::string& runtime) {
+      std::filesystem::create_directories(base + "_cold_" + mode);
+      return RunTrainer("--storage tiered --cold_dtype int8 " + schedule +
+                            " " + runtime + " --cold_dir " + base +
+                            "_cold_" + mode + " --checkpoint_dir " + base +
+                            "_ck_" + mode + " --save_state " + base + "_" +
+                            mode + ".state",
+                        base + "_" + mode + ".log");
+    };
+    ASSERT_EQ(run("sim", "--machines 2"), 0)
+        << ReadFileBytes(base + "_sim.log");
+    const std::string kill = tag == "kill" ? " --proc_kill 1:100" : "";
+    ASSERT_EQ(run("proc", "--runtime proc --workers 2" + kill), 0)
+        << ReadFileBytes(base + "_proc.log");
+    // The snapshot, then its cold-tier sidecars (entity/relation tables
+    // and their AdaGrad accumulators).
+    for (const std::string suffix : {"", ".cold1", ".cold2", ".cold11",
+                                     ".cold12"}) {
+      const std::string sim_bytes =
+          ReadFileBytes(base + "_sim.state" + suffix);
+      ASSERT_FALSE(sim_bytes.empty()) << suffix;
+      EXPECT_EQ(sim_bytes, ReadFileBytes(base + "_proc.state" + suffix))
+          << "proc " << suffix << " diverged from sim";
+    }
+  }
+  EXPECT_NE(ReadFileBytes(dir + "/kill_proc.log")
+                .find("recovered 1 worker crash from checkpoint"),
             std::string::npos);
 }
 
