@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   if (!flags.IsSet("cache")) {
     base.cache_capacity = 512;  // Enough for staleness to cover reads.
   }
-  const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
+  const size_t epochs = bench::EpochsFromFlags(flags);
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
   const auto relation_freqs = dataset.graph.RelationFrequencies();
 

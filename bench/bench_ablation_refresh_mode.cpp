@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   const auto dataset = bench::GetDataset("fb15k", flags);
   core::TrainerConfig base = bench::ConfigFromFlags(flags);
-  const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
+  const size_t epochs = bench::EpochsFromFlags(flags);
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 
   bench::Table table({"Cache", "Refresh mode", "Refresh rows",

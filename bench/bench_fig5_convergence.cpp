@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   bench::PrintBanner("bench_fig5_convergence",
                      "Fig. 5 - convergence (valid MRR vs simulated time)");
 
-  const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
+  const size_t epochs = bench::EpochsFromFlags(flags);
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 
   for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {

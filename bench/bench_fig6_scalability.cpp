@@ -15,11 +15,8 @@ int main(int argc, char** argv) {
                "processes over shm rings) and report measured wall-clock "
                "per worker count — opt-in: it forks 1..8 real processes");
   bench::InitBench(&flags, argc, argv);
+  const bool proc = core::ValueOrExit(flags.TryGetBool("proc"), "");
 
-  bench::PrintBanner("bench_fig6_scalability",
-                     "Fig. 6 - speedup vs number of workers (Freebase-86m)");
-
-  const auto dataset = bench::GetDataset("freebase86m", flags);
   core::TrainerConfig base = bench::ConfigFromFlags(flags);
   bench::ApplyDatasetDefaults("freebase86m", flags, &base);
   if (!flags.IsSet("dim")) {
@@ -28,6 +25,18 @@ int main(int argc, char** argv) {
     // keeps that regime while staying tractable on one core.
     base.dim = 64;
   }
+  if (proc) {
+    // Refuse a setting the process runtime cannot run (e.g. --async)
+    // before the sim table trains, not after it.
+    const Status status = core::ValidateConfig(
+        core::SystemKind::kHetKgDps, base, core::RuntimeKind::kProc);
+    if (!status.ok()) return core::ReportError(status, "--proc");
+  }
+
+  bench::PrintBanner("bench_fig6_scalability",
+                     "Fig. 6 - speedup vs number of workers (Freebase-86m)");
+
+  const auto dataset = bench::GetDataset("freebase86m", flags);
   const size_t machine_counts[] = {1, 2, 4, 8};
 
   bench::Table table({"System", "Workers", "Epoch time(s)", "Speedup"});
@@ -67,7 +76,7 @@ int main(int argc, char** argv) {
   // wall-clock: real fork/IPC/turn-taking overhead vs worker count,
   // and on the fault-on rows (DESIGN.md §15) the added cost of the
   // CRC/ack/retransmit machinery healing an injected-fault wire.
-  if (flags.GetBool("proc")) {
+  if (proc) {
     bench::Table proc_table(
         {"Runtime", "Workers", "Wall(s)", "Overhead", "Epoch time(s)"});
     for (size_t machines : machine_counts) {

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     // of reads: maximize the cached fraction.
     base.cache_capacity = 16384;
   }
-  const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
+  const size_t epochs = bench::EpochsFromFlags(flags);
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 
   bench::Table table({"Staleness", "Epoch", "Valid MRR"});

@@ -180,7 +180,7 @@ void BM_ZipfSample(benchmark::State& state) {
     benchmark::DoNotOptimize(zipf.Next());
   }
 }
-BENCHMARK(BM_ZipfSample)->Arg(1 << 14)->Arg(1 << 20);
+BENCHMARK(BM_ZipfSample)->Arg(1 << 14)->Arg(1 << 20)->Arg(860541);
 
 void BM_HotTableLookup(benchmark::State& state) {
   core::HotEmbeddingTable table(512, 1536, 64, 64, 0.1);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
           std::to_string(config.dim) + ")",
       dataset, config,
       {embedding::ModelKind::kTransEL1, embedding::ModelKind::kDistMult},
-      static_cast<size_t>(flags.GetInt("epochs")),
+      bench::EpochsFromFlags(flags),
       bench::EvalOptionsFromFlags(flags));
 
   std::printf(

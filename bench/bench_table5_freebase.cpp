@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
                : "") +
           ")",
       dataset, config, {embedding::ModelKind::kTransEL1},
-      static_cast<size_t>(flags.GetInt("epochs")),
+      bench::EpochsFromFlags(flags),
       bench::EvalOptionsFromFlags(flags));
 
   std::printf(

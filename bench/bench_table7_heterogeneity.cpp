@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     // to crowd out entities in the global ranking.
     base.cache_capacity = 512;
   }
-  const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
+  const size_t epochs = bench::EpochsFromFlags(flags);
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 
   bench::Table table({"Dataset", "System", "MRR", "Hits@1", "Hits@10",

@@ -115,7 +115,17 @@ void DefineCommonFlags(FlagParser* flags) {
 
 namespace {
 
+Result<size_t> BindEpochs(const FlagParser& flags) {
+  HETKG_ASSIGN_OR_RETURN(const int64_t epochs, flags.TryGetInt("epochs"));
+  if (epochs < 0) {
+    return Status::InvalidArgument("flag --epochs must be >= 0: " +
+                                   std::to_string(epochs));
+  }
+  return static_cast<size_t>(epochs);
+}
+
 Result<core::TrainerConfig> BindFlags(const FlagParser& flags) {
+  HETKG_RETURN_IF_ERROR(BindEpochs(flags).status());
   HETKG_ASSIGN_OR_RETURN(core::TrainerConfig config,
                          core::TrainerConfigFromFlags(flags));
   HETKG_ASSIGN_OR_RETURN(config.cache_entity_ratio,
@@ -137,6 +147,10 @@ std::string SuffixedPath(const std::string& path, const std::string& tag) {
 
 core::TrainerConfig ConfigFromFlags(const FlagParser& flags) {
   return core::ValueOrExit(BindFlags(flags), "");
+}
+
+size_t EpochsFromFlags(const FlagParser& flags) {
+  return core::ValueOrExit(BindEpochs(flags), "");
 }
 
 eval::EvalOptions EvalOptionsFromFlags(const FlagParser& flags) {

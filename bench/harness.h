@@ -58,6 +58,10 @@ void DefineCommonFlags(FlagParser* flags);
 /// already rejected malformed values, so this cannot fail.
 core::TrainerConfig ConfigFromFlags(const FlagParser& flags);
 
+/// --epochs from the parsed common flags. InitBench has already
+/// rejected a malformed or negative value (exit 2), so this cannot fail.
+size_t EpochsFromFlags(const FlagParser& flags);
+
 /// Inserts "_tag" before `path`'s extension ("run.json", "cps" ->
 /// "run_cps.json"); appends when there is none. Empty paths stay empty,
 /// so disabled obs outputs pass through unchanged. Benches that train

@@ -79,9 +79,19 @@ bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
 Rng Rng::Split() { return Rng(NextUint64()); }
 
+namespace {
+
+// 2^19 + 1 uint32 entries = 2 MiB: a bucket per rank up to ~524k ranks.
+// Beyond that the tail buckets hold several ranks each, but they carry
+// little mass, so the expected search stays short.
+constexpr int kMaxGuideBits = 19;
+
+}  // namespace
+
 ZipfSampler::ZipfSampler(size_t n, double exponent, uint64_t seed)
     : exponent_(exponent), rng_(seed) {
   assert(n >= 1);
+  assert(n <= UINT32_MAX);
   cdf_.resize(n);
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -92,12 +102,20 @@ ZipfSampler::ZipfSampler(size_t n, double exponent, uint64_t seed)
     c /= total;
   }
   cdf_.back() = 1.0;  // Guard against accumulated floating-point error.
-}
 
-size_t ZipfSampler::Next() {
-  const double u = rng_.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<size_t>(it - cdf_.begin());
+  while (guide_bits_ < kMaxGuideBits && (size_t{1} << guide_bits_) < n) {
+    ++guide_bits_;
+  }
+  const size_t buckets = size_t{1} << guide_bits_;
+  guide_.resize(buckets + 1);
+  // j / buckets is exact in double; the walk stops at the last rank at
+  // the latest, because cdf_.back() == 1.0.
+  size_t rank = 0;
+  for (size_t j = 0; j <= buckets; ++j) {
+    const double edge = std::ldexp(static_cast<double>(j), -guide_bits_);
+    while (cdf_[rank] < edge) ++rank;
+    guide_[j] = static_cast<uint32_t>(rank);
+  }
 }
 
 double ZipfSampler::Pmf(size_t rank) const {

@@ -1,6 +1,7 @@
 #ifndef HETKG_COMMON_RNG_H_
 #define HETKG_COMMON_RNG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -78,24 +79,59 @@ class Rng {
 /// hotness observation (Fig. 2) is exactly a Zipf-like skew of entity and
 /// relation access frequencies.
 ///
-/// Implementation: inverse-CDF over a precomputed cumulative table;
-/// construction is O(n), each sample is O(log n).
+/// Implementation: inverse-CDF over a precomputed cumulative table,
+/// looked up through a Chen-Asau guide table. A draw is the 53-bit
+/// uniform `NextDouble` uses; its top `b` bits pick one of 2^b
+/// equal-width buckets, and `guide_[j]` is the first rank whose CDF
+/// reaches the bucket's lower edge j / 2^b. The search then runs only
+/// inside [guide_[j], guide_[j + 1]], so it returns exactly the rank a
+/// full-range `lower_bound` over the CDF would. Construction is
+/// O(n + 2^b); each sample is O(1) expected for n <= 2^b and falls
+/// back to a binary search bounded by the bucket beyond that.
 class ZipfSampler {
  public:
   /// `n` must be >= 1 and `exponent` >= 0 (0 degenerates to uniform).
   ZipfSampler(size_t n, double exponent, uint64_t seed);
 
   /// Returns a rank in [0, n); rank 0 is the most probable.
-  size_t Next();
+  size_t Next() { return RankOf(rng_.NextUint64() >> 11); }
+
+  /// The rank drawn for the 53-bit uniform `bits` (u = bits * 2^-53):
+  /// the first rank whose CDF entry is >= u.
+  size_t RankOf(uint64_t bits) const {
+    const double u = static_cast<double>(bits) * 0x1.0p-53;
+    const size_t j = static_cast<size_t>(bits >> (53 - guide_bits_));
+    // j / 2^b <= u < (j + 1) / 2^b, so the answer lies in [lo, hi]:
+    // every rank below lo has cdf < j / 2^b <= u, and cdf_[hi] >=
+    // (j + 1) / 2^b > u.
+    size_t lo = guide_[j];
+    const size_t hi = guide_[j + 1];
+    if (hi - lo > kMaxLinearScan) {
+      return static_cast<size_t>(
+          std::lower_bound(cdf_.begin() + lo, cdf_.begin() + hi, u) -
+          cdf_.begin());
+    }
+    while (cdf_[lo] < u) ++lo;
+    return lo;
+  }
 
   /// Probability mass of `rank`.
   double Pmf(size_t rank) const;
 
   size_t size() const { return cdf_.size(); }
   double exponent() const { return exponent_; }
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
+  /// Buckets spanning more ranks than this are binary-searched instead
+  /// of scanned.
+  static constexpr size_t kMaxLinearScan = 8;
+
   std::vector<double> cdf_;
+  /// 2^guide_bits_ + 1 entries; guide_[j] = first rank with
+  /// cdf_[rank] >= j / 2^guide_bits_.
+  std::vector<uint32_t> guide_;
+  int guide_bits_ = 0;
   double exponent_;
   Rng rng_;
 };

@@ -58,15 +58,13 @@ class PsBackend {
   virtual void IncrementServerMetric(const std::string& name,
                                      uint64_t delta) = 0;
 
-  /// Hotness hint for tiered storage (DESIGN.md §16): the keys the hot
-  /// filter just admitted (or the prefetch window is about to pull) —
-  /// the server madvise()s their cold pages in ahead of use. Purely
-  /// advisory: results are identical with or without the call, so the
-  /// remote runtime may drop it (default no-op) without breaking the
-  /// sim/proc bit-identity invariant.
-  virtual void AdviseHotKeys(std::span<const EmbKey> keys) {
-    (void)keys;
-  }
+  /// ParameterServer::AdviseHotKeys, the hotness hint for tiered
+  /// storage (DESIGN.md §16): the keys the hot filter just admitted
+  /// (`admitted`, counted as tier.promotions) or the prefetch window is
+  /// about to pull. The server madvise()s their cold pages in ahead of
+  /// use; trained bytes are identical with or without the hint.
+  virtual void AdviseHotKeys(std::span<const EmbKey> keys,
+                             bool admitted) = 0;
 };
 
 /// The sim-runtime backend: every call forwards to the in-process
@@ -101,8 +99,8 @@ class LocalPsBackend final : public PsBackend {
     server_->metrics().Increment(name, delta);
   }
 
-  void AdviseHotKeys(std::span<const EmbKey> keys) override {
-    server_->AdviseHotKeys(keys);
+  void AdviseHotKeys(std::span<const EmbKey> keys, bool admitted) override {
+    server_->AdviseHotKeys(keys, admitted);
   }
 
  private:

@@ -313,10 +313,9 @@ void PsTrainingEngine::ApplyHotSet(Worker* w, size_t iter,
   if (!admitted.empty()) {
     if (config_.storage.enabled) {
       // Hot promotion (DESIGN.md §16): fault the admitted rows' cold
-      // pages in before the batched pull decodes them, and count the
-      // promotions (cold tier -> fp32 cache) for the tier.* gauges.
-      backend_->AdviseHotKeys(admitted);
-      tier_promotions_ += admitted.size();
+      // pages in before the batched pull decodes them; the server counts
+      // the promotions (cold tier -> fp32 cache) for the tier.* gauges.
+      backend_->AdviseHotKeys(admitted, /*admitted=*/true);
     }
     rebuild_pull_spans_.clear();
     for (EmbKey key : admitted) {
@@ -395,7 +394,7 @@ uint64_t PsTrainingEngine::FillBatchQueue(Worker* w) {
   if (config_.storage.enabled) {
     // Upcoming pulls are now known exactly; start faulting their cold
     // pages in while this window trains (advisory — no result change).
-    backend_->AdviseHotKeys(WindowKeys(prefetched));
+    backend_->AdviseHotKeys(WindowKeys(prefetched), /*admitted=*/false);
   }
   for (auto& batch : prefetched.batches) {
     w->batch_queue.push_back(std::move(batch));
@@ -979,7 +978,7 @@ MetricRegistry PsTrainingEngine::CollectObsMetrics(double sim_seconds) const {
   // gauges appear only under --storage=tiered.
   if (config_.storage.enabled && server_ != nullptr) {
     m.Increment(metric::kTierColdReads, server_->TierColdReads());
-    m.Increment(metric::kTierPromotions, tier_promotions_);
+    m.Increment(metric::kTierPromotions, server_->TierPromotions());
     m.SetGauge(metric::kTierBytesMapped,
                static_cast<double>(server_->TierBytesMapped()));
     m.SetGauge(metric::kMemRssBytes,

@@ -428,11 +428,6 @@ class PsTrainingEngine : public TrainingEngine {
   /// never serialized, never merged into reports (see
   /// TrainingEngine::RecoveryMetrics).
   MetricRegistry recovery_metrics_;
-  /// Cold-tier -> cache promotions (tier.promotions). A plain engine
-  /// counter — like the table-side cold_reads counters it must never
-  /// enter serialized state, or tiered and in-RAM snapshots of the same
-  /// run would diverge.
-  uint64_t tier_promotions_ = 0;
   std::unique_ptr<CheckpointManager> ckpt_manager_;
 
   // Observability (src/obs/). `obs_active_` is latched from

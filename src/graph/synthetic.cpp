@@ -152,6 +152,7 @@ Result<KnowledgeGraph> GenerateSynthetic(const SyntheticSpec& spec) {
   };
 
   std::vector<float> target(k);
+  std::vector<EntityId> candidates(spec.tail_candidates);
   std::vector<Triple> triples;
   triples.reserve(spec.num_triples);
   const size_t max_attempts = spec.num_triples * 20 + 1000;
@@ -162,6 +163,16 @@ Result<KnowledgeGraph> GenerateSynthetic(const SyntheticSpec& spec) {
     t.head = entity_perm[entity_sampler.Next()];
     t.relation = relation_perm[relation_sampler.Next()];
     if (spec.planted_structure) {
+      // Best of `tail_candidates` Zipf-drawn candidates: learnable
+      // structure with preserved popularity skew. Only entity_sampler
+      // feeds the candidates, so drawing them all up front keeps its
+      // stream order, and lets their latent rows load while the
+      // target is built.
+      for (EntityId& cand : candidates) {
+        cand = entity_perm[entity_sampler.Next()];
+        __builtin_prefetch(entity_latents.data() +
+                           static_cast<size_t>(cand) * k);
+      }
       const float* zh = entity_latents.data() +
                         static_cast<size_t>(t.head) * k;
       const float* vr = relation_latents.data() +
@@ -169,13 +180,10 @@ Result<KnowledgeGraph> GenerateSynthetic(const SyntheticSpec& spec) {
       for (size_t i = 0; i < k; ++i) {
         target[i] = zh[i] + vr[i];
       }
-      // Best of `tail_candidates` Zipf-drawn candidates: learnable
-      // structure with preserved popularity skew.
       EntityId best = t.head;
       double best_dist = 0.0;
       bool found = false;
-      for (size_t c = 0; c < spec.tail_candidates; ++c) {
-        const EntityId cand = entity_perm[entity_sampler.Next()];
+      for (const EntityId cand : candidates) {
         if (cand == t.head) continue;
         const double dist = latent_distance_sq(cand, target.data());
         if (!found || dist < best_dist) {

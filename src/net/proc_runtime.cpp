@@ -179,6 +179,14 @@ void RemotePsBackend::IncrementServerMetric(const std::string& name,
   SendOrAbort(msg);
 }
 
+void RemotePsBackend::AdviseHotKeys(std::span<const EmbKey> keys,
+                                    bool admitted) {
+  ByteWriter msg = RpcMessage(MsgType::kAdvise);
+  msg.U8(admitted ? 1 : 0);
+  msg.U64Vec(keys);
+  SendOrAbort(msg);
+}
+
 // ---------------------------------------------------------------------------
 // ProcWorker (worker-process command loop).
 
@@ -750,6 +758,15 @@ Status ProcCoordinator::ApplyBackendRpc(uint32_t machine, uint8_t type,
         return Status::Corruption("bad kMetric");
       }
       server->metrics().Increment(name, delta);
+      return Status::OK();
+    }
+    case MsgType::kAdvise: {
+      const bool admitted = r->U8() != 0;
+      const std::vector<uint64_t> keys = r->U64Vec();
+      if (!r->ok() || r->remaining() != 0) {
+        return Status::Corruption("bad kAdvise");
+      }
+      server->AdviseHotKeys(keys, admitted);
       return Status::OK();
     }
     default:

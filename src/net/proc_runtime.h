@@ -104,6 +104,7 @@ class RemotePsBackend final : public core::PsBackend {
   void RecordCompute(uint32_t machine, uint64_t flops) override;
   void IncrementServerMetric(const std::string& name,
                              uint64_t delta) override;
+  void AdviseHotKeys(std::span<const EmbKey> keys, bool admitted) override;
 
  private:
   /// An RPC failure means the coordinator is gone; the worker process

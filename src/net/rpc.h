@@ -52,6 +52,8 @@ enum class MsgType : uint8_t {
                     // Sent in reply to kShipObs and unsolicited right
                     // before kBye, so the kShutdown drain gets the
                     // final shipment.
+  kAdvise,  // U8 admitted, U64 n, U64 keys[n] — PsBackend::AdviseHotKeys
+            // (tiered storage only; the engine never calls it otherwise).
 };
 
 inline ByteWriter RpcMessage(MsgType type) {

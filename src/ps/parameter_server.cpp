@@ -115,8 +115,10 @@ void ParameterServer::DropColdResidency() const {
   relation_opt_.DropColdResidency();
 }
 
-void ParameterServer::AdviseHotKeys(std::span<const EmbKey> keys) const {
+void ParameterServer::AdviseHotKeys(std::span<const EmbKey> keys,
+                                    bool admitted) {
   if (!tiered()) return;
+  if (admitted) tier_promotions_ += keys.size();
   for (const EmbKey key : keys) {
     if (IsRelationKey(key)) {
       relation_table_.AdviseRowWillNeed(KeyRelation(key));

@@ -135,15 +135,20 @@ class ParameterServer {
   bool tiered() const { return config_.storage.enabled; }
 
   /// madvise(MADV_WILLNEED) the cold pages of `keys` — called with the
-  /// hot filter's admitted set and the prefetch window, so rows the
-  /// next iterations will pull fault in ahead of use. No-op when not
-  /// tiered.
-  void AdviseHotKeys(std::span<const EmbKey> keys) const;
+  /// hot filter's admitted set (`admitted`, counted as promotions from
+  /// the cold tier into a worker cache) and the prefetch window, so
+  /// rows the next iterations will pull fault in ahead of use. No-op
+  /// when not tiered.
+  void AdviseHotKeys(std::span<const EmbKey> keys, bool admitted);
 
   /// Rows dequantized from the cold tier so far (`tier.cold_reads`).
   uint64_t TierColdReads() const {
     return entity_table_.cold_reads() + relation_table_.cold_reads();
   }
+
+  /// Admitted keys passed to AdviseHotKeys so far (`tier.promotions`).
+  /// Like the cold-read counters, never serialized.
+  uint64_t TierPromotions() const { return tier_promotions_; }
 
   /// Bytes of mmap-backed state (`tier.bytes_mapped`): both cold slabs
   /// plus the accumulator slabs.
@@ -214,6 +219,7 @@ class ParameterServer {
   embedding::AdaGrad entity_opt_;
   embedding::AdaGrad relation_opt_;
   MetricRegistry metrics_;
+  uint64_t tier_promotions_ = 0;
 
   /// Per-worker push sequence numbers (stamped on outgoing messages)
   /// and the highest sequence each worker has had applied — the

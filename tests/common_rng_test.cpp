@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -135,6 +136,68 @@ TEST(ZipfSamplerTest, EmpiricalMatchesPmf) {
   for (size_t i = 0; i < 10; ++i) {
     const double expected = zipf.Pmf(i) * kDraws;
     EXPECT_NEAR(counts[i], expected, expected * 0.1 + 50.0);
+  }
+}
+
+// The guide-table lookup must return exactly what a full-range
+// lower_bound over the same CDF returns for the same uniform: the
+// generated datasets (and every trained byte) depend on it.
+constexpr size_t kZipfSizes[] = {1, 2, 3, 1345, 14951, 860541};
+constexpr double kZipfExponents[] = {0.0, 0.62, 1.0, 1.05, 2.0};
+
+size_t FullRangeRank(const ZipfSampler& zipf, double u) {
+  const std::vector<double>& cdf = zipf.cdf();
+  return static_cast<size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                             cdf.begin());
+}
+
+TEST(ZipfSamplerTest, DrawsMatchFullRangeSearch) {
+  constexpr int kDraws = 1 << 20;
+  for (size_t n : kZipfSizes) {
+    for (double s : kZipfExponents) {
+      ZipfSampler zipf(n, s, 99);
+      Rng reference(99);
+      size_t mismatches = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        mismatches +=
+            zipf.Next() != FullRangeRank(zipf, reference.NextDouble());
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfSamplerTest, BoundaryDrawsMatchFullRangeSearch) {
+  constexpr uint64_t kOne = uint64_t{1} << 53;
+  for (size_t n : kZipfSizes) {
+    for (double s : kZipfExponents) {
+      const ZipfSampler zipf(n, s, 1);
+      size_t mismatches = 0;
+      auto check = [&](uint64_t bits) {
+        if (bits >= kOne) return;
+        const double u = static_cast<double>(bits) * 0x1.0p-53;
+        mismatches += zipf.RankOf(bits) != FullRangeRank(zipf, u);
+      };
+      // Uniforms on and next to every CDF entry, so ties (u == cdf[i])
+      // resolve to the same rank.
+      for (double c : zipf.cdf()) {
+        const double scaled = c * 0x1.0p53;
+        const uint64_t below = static_cast<uint64_t>(std::floor(scaled));
+        for (uint64_t bits = below > 0 ? below - 1 : 0; bits <= below + 2;
+             ++bits) {
+          check(bits);
+        }
+      }
+      // Every bucket edge j / 2^b for any table of up to 2^20 buckets,
+      // and the uniform just below it.
+      for (uint64_t j = 0; j < (uint64_t{1} << 20); ++j) {
+        const uint64_t edge = j << (53 - 20);
+        check(edge);
+        if (edge > 0) check(edge - 1);
+      }
+      check(kOne - 1);
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    }
   }
 }
 

@@ -58,6 +58,15 @@ int RunTrainer(const std::string& extra_args, const std::string& log_path) {
   return WEXITSTATUS(rc);
 }
 
+// The last value `name` takes in a --metrics_json time series, or -1
+// when it never appears.
+long long LastMetricValue(const std::string& json, const std::string& name) {
+  const std::string needle = "\"" + name + "\":";
+  const size_t at = json.rfind(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + needle.size()));
+}
+
 class ProcEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -358,6 +367,25 @@ TEST_F(ProcEquivalenceTest, TieredStorageMatchesSim) {
   EXPECT_NE(ReadFileBytes(dir + "/kill_proc.log")
                 .find("recovered 1 worker crash from checkpoint"),
             std::string::npos);
+
+  // The workers' hotness hints reach the coordinator's server, which
+  // counts the admitted ones as promotions exactly as the sim run does.
+  // Separate runs: a --metrics_json run's snapshot is not compared.
+  const auto promotions = [&](const std::string& mode,
+                              const std::string& runtime) {
+    const std::string base = dir + "/metrics_" + mode;
+    std::filesystem::create_directories(base + "_cold");
+    EXPECT_EQ(RunTrainer("--storage tiered --cold_dtype int8 " + runtime +
+                             " --cold_dir " + base + "_cold --metrics_json " +
+                             base + ".json",
+                         base + ".log"),
+              0)
+        << ReadFileBytes(base + ".log");
+    return LastMetricValue(ReadFileBytes(base + ".json"), "tier.promotions");
+  };
+  const long long sim_promotions = promotions("sim", "--machines 2");
+  EXPECT_GT(sim_promotions, 0);
+  EXPECT_EQ(promotions("proc", "--runtime proc --workers 2"), sim_promotions);
 }
 
 }  // namespace
