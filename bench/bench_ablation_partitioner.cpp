@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"Dataset", "Partitioner", "Cut fraction", "System",
                       "Remote bytes", "Epoch time(s)"});
-  for (const std::string& name : {"fb15k", "freebase86m"}) {
+  for (const std::string& name : {"fb15k"s, "freebase86m"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     // Stand-alone cut statistics.
     graph::KnowledgeGraph train_graph =
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
                                       dataset.graph.num_relations(),
                                       dataset.split.train, "train")
             .value();
-    for (const std::string& partitioner : {"metis", "random"}) {
+    for (const std::string& partitioner : {"metis"s, "random"s}) {
       double cut_fraction = 0.0;
       if (partitioner == "metis") {
         partition::MetisPartitioner metis;

@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"Sampler", "Entity draws/batch", "Remote bytes",
                       "Time(s)", "Test MRR"});
-  for (const std::string& sampler : {"uniform", "batched"}) {
+  for (const std::string& sampler : {"uniform"s, "batched"s}) {
     core::TrainerConfig config = base;
     config.negative_sampler = sampler;
     const auto outcome =

@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   const size_t negatives =
       static_cast<size_t>(flags.GetInt("negatives"));
 
-  for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
+  for (const std::string& name : {"fb15k"s, "wn18"s, "freebase86m"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     const auto freq = graph::CountEpochAccesses(dataset.graph, negatives,
                                                 flags.GetInt("seed"));

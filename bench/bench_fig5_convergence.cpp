@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   const size_t epochs = bench::EpochsFromFlags(flags);
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 
-  for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
+  for (const std::string& name : {"fb15k"s, "wn18"s, "freebase86m"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     core::TrainerConfig config = bench::ConfigFromFlags(flags);
     bench::ApplyDatasetDefaults(name, flags, &config);

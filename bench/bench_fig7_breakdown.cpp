@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
       "Fig. 7 - computation vs communication time per epoch");
 
   const core::TrainerConfig base_config = bench::ConfigFromFlags(flags);
-  for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
+  for (const std::string& name : {"fb15k"s, "wn18"s, "freebase86m"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     core::TrainerConfig config = base_config;
     bench::ApplyDatasetDefaults(name, flags, &config);

@@ -174,6 +174,55 @@ void BM_AdaGradApplyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaGradApplyBatch)->ArgsProduct({{64, 128, 400}, {0, 1}});
 
+// Fused AdaGrad step (+ renormalize) over a push-sized group of rows
+// scattered through a table 32 MiB large (values; the accumulator is as
+// large again), far beyond L2, so the next-row prefetch has misses to
+// hide. range(0) = dim, range(1) = normalize, range(2) = 1 for one
+// ApplyRows call per group, 0 for one ApplyRows call per row (no
+// lookahead to prefetch). Time is per row.
+void BM_AdaGradApplyRows(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const bool normalize = state.range(1) != 0;
+  const bool grouped = state.range(2) != 0;
+  constexpr size_t kGroup = 256;
+  const size_t num_rows = (size_t{32} << 20) / (dim * sizeof(float));
+  embedding::EmbeddingTable table(num_rows, dim);
+  embedding::AdaGrad opt(num_rows, dim, 0.1);
+  Rng rng(5);
+  table.InitXavierUniform(&rng);
+  std::vector<float> grad(dim);
+  for (float& g : grad) g = static_cast<float>(rng.NextUniform(-0.1, 0.1));
+  std::vector<size_t> order(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) order[i] = i;
+  rng.Shuffle(&order);
+  embedding::RowBatch batch;
+  size_t next = 0;
+  for (auto _ : state) {
+    batch.Clear();
+    for (size_t k = 0; k < kGroup; ++k) {
+      const size_t slot = order[next];
+      next = next + 1 == num_rows ? 0 : next + 1;
+      batch.Add(slot, table.Row(slot), grad);
+    }
+    if (grouped) {
+      opt.ApplyRows(batch.slots, batch.rows, batch.grads, normalize);
+    } else {
+      for (size_t k = 0; k < kGroup; ++k) {
+        opt.ApplyRows({&batch.slots[k], 1}, {&batch.rows[k], 1},
+                      {&batch.grads[k], 1}, normalize);
+      }
+    }
+    benchmark::DoNotOptimize(batch.rows.back().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kGroup);
+  state.SetBytesProcessed(state.iterations() * kGroup * dim * sizeof(float));
+  state.SetLabel("dim=" + std::to_string(dim) +
+                 (normalize ? " normalize" : "") +
+                 (grouped ? " grouped" : " per-row"));
+}
+BENCHMARK(BM_AdaGradApplyRows)->ArgsProduct({{32, 64, 128}, {0, 1}, {0, 1}});
+
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(static_cast<size_t>(state.range(0)), 0.8, 3);
   for (auto _ : state) {

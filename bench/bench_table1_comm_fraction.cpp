@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"Dataset", "Model", "Compute(s)", "Network(s)",
                       "Total(s)", "Network share"});
-  for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
+  for (const std::string& name : {"fb15k"s, "wn18"s, "freebase86m"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     core::TrainerConfig config = bench::ConfigFromFlags(flags);
     bench::ApplyDatasetDefaults(name, flags, &config);

@@ -19,6 +19,8 @@ namespace {
 
 using namespace hetkg;
 
+using namespace std::string_literals;
+
 struct StreamSpec {
   const std::vector<Triple>* triples;
   size_t num_entities;
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
 
   bench::Table table(
       {"Dataset", "Capacity", "FIFO", "LRU", "LFU", "Importance", "HET-KG"});
-  for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
+  for (const std::string& name : {"fb15k"s, "wn18"s, "freebase86m"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     core::TrainerConfig config = bench::ConfigFromFlags(flags);
     bench::ApplyDatasetDefaults(name, flags, &config);

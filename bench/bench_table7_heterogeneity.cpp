@@ -9,6 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace hetkg;
+  using namespace std::string_literals;
   FlagParser flags;
   bench::DefineCommonFlags(&flags);
   bench::InitBench(&flags, argc, argv);
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"Dataset", "System", "MRR", "Hits@1", "Hits@10",
                       "Time(s)", "Hit ratio"});
-  for (const std::string& name : {"fb15k", "wn18"}) {
+  for (const std::string& name : {"fb15k"s, "wn18"s}) {
     const auto dataset = bench::GetDataset(name, flags);
     for (bool heterogeneity_aware : {true, false}) {
       core::TrainerConfig config = base;

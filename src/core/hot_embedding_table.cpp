@@ -126,15 +126,40 @@ void HotEmbeddingTable::ApplyLocalGradient(EmbKey key,
                                            bool normalize_entities) {
   auto it = index_.find(key);
   HETKG_CHECK(it != index_.end()) << "key not cached: " << key;
+  const size_t slot = it->second.slot;
   if (it->second.is_relation) {
-    relation_opt_.Apply(it->second.slot, relation_rows_.Row(it->second.slot),
-                        grad);
+    const std::span<float> row = relation_rows_.Row(slot);
+    relation_opt_.ApplyRows({&slot, 1}, {&row, 1}, {&grad, 1}, false);
     return;
   }
-  entity_opt_.Apply(it->second.slot, entity_rows_.Row(it->second.slot), grad);
-  if (normalize_entities) {
-    entity_rows_.L2NormalizeRow(it->second.slot);
+  const std::span<float> row = entity_rows_.Row(slot);
+  entity_opt_.ApplyRows({&slot, 1}, {&row, 1}, {&grad, 1},
+                        normalize_entities);
+}
+
+void HotEmbeddingTable::ApplyLocalGradients(
+    std::span<const EmbKey> keys,
+    std::span<const std::span<const float>> grads, bool normalize_entities,
+    std::vector<uint8_t>* cached) {
+  HETKG_CHECK(keys.size() == grads.size());
+  cached->assign(keys.size(), 0);
+  entity_batch_.Clear();
+  relation_batch_.Clear();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto it = index_.find(keys[i]);
+    if (it == index_.end()) continue;
+    (*cached)[i] = 1;
+    const uint32_t slot = it->second.slot;
+    if (it->second.is_relation) {
+      relation_batch_.Add(slot, relation_rows_.Row(slot), grads[i]);
+    } else {
+      entity_batch_.Add(slot, entity_rows_.Row(slot), grads[i]);
+    }
   }
+  entity_opt_.ApplyRows(entity_batch_.slots, entity_batch_.rows,
+                        entity_batch_.grads, normalize_entities);
+  relation_opt_.ApplyRows(relation_batch_.slots, relation_batch_.rows,
+                          relation_batch_.grads, /*normalize=*/false);
 }
 
 void HotEmbeddingTable::Refresh(EmbKey key, std::span<const float> value) {

@@ -65,6 +65,15 @@ class HotEmbeddingTable {
   void ApplyLocalGradient(EmbKey key, std::span<const float> grad,
                           bool normalize_entities);
 
+  /// Batched ApplyLocalGradient over the cached subset of `keys`: looks
+  /// each key up once, skips keys not cached, and applies the rest with
+  /// one AdaGrad::ApplyRows call per slab, in key order. Sets
+  /// (*cached)[i] to 1 when keys[i] was cached (and updated), else 0.
+  void ApplyLocalGradients(std::span<const EmbKey> keys,
+                           std::span<const std::span<const float>> grads,
+                           bool normalize_entities,
+                           std::vector<uint8_t>* cached);
+
   /// Overwrites the cached value (used by the P-periodic refresh that
   /// pulls fresh global values). Resets nothing else.
   void Refresh(EmbKey key, std::span<const float> value);
@@ -90,6 +99,8 @@ class HotEmbeddingTable {
   embedding::AdaGrad entity_opt_;
   embedding::AdaGrad relation_opt_;
   std::unordered_map<EmbKey, SlotRef> index_;
+  embedding::RowBatch entity_batch_;  // ApplyLocalGradients scratch.
+  embedding::RowBatch relation_batch_;
 };
 
 }  // namespace hetkg::core

@@ -278,8 +278,10 @@ std::pair<double, uint64_t> PbgEngine::TrainBucket(uint32_t machine,
     // All-zero rows were never touched by a backward call and are
     // skipped, matching the old hash-map scratch behaviour.
     uint64_t updated_params = 0;
+    entity_batch_.Clear();
+    relation_batch_.Clear();
     for (size_t k = 0; k < num_keys; ++k) {
-      const std::span<float> g(
+      const std::span<const float> g(
           scratch_grads_.data() + scratch_grad_offsets_[k],
           scratch_grad_offsets_[k + 1] - scratch_grad_offsets_[k]);
       const bool touched = std::any_of(g.begin(), g.end(),
@@ -289,15 +291,17 @@ std::pair<double, uint64_t> PbgEngine::TrainBucket(uint32_t machine,
       const EmbKey key = scratch_keys_[k];
       if (IsRelationKey(key)) {
         const RelationId r = KeyRelation(key);
-        relation_opt_->ApplyBatch(r, relations_.Row(r), g);
+        relation_batch_.Add(r, relations_.Row(r), g);
       } else {
         const EntityId e = KeyEntity(key);
-        entity_opt_->ApplyBatch(e, entities_.Row(e), g);
-        if (score_fn_->NormalizesEntities()) {
-          entities_.L2NormalizeRow(e);
-        }
+        entity_batch_.Add(e, entities_.Row(e), g);
       }
     }
+    entity_opt_->ApplyRows(entity_batch_.slots, entity_batch_.rows,
+                           entity_batch_.grads,
+                           score_fn_->NormalizesEntities());
+    relation_opt_->ApplyRows(relation_batch_.slots, relation_batch_.rows,
+                             relation_batch_.grads, /*normalize=*/false);
     cluster_.RecordCompute(machine, updated_params * kUpdateFlopsPerParam);
     account(&phase_.compute);
 

@@ -170,6 +170,8 @@ class PbgEngine : public TrainingEngine {
   std::vector<ResolvedTriple> scratch_positives_;
   std::vector<ResolvedPair> scratch_pairs_;
   std::vector<double> scratch_pos_scores_;
+  embedding::RowBatch entity_batch_;  // One ApplyRows call per table.
+  embedding::RowBatch relation_batch_;
 };
 
 }  // namespace hetkg::core

@@ -643,29 +643,35 @@ void PsTrainingEngine::RunPushStage(StepTask* task) {
   // Keys whose gradient is identically zero (margin satisfied for every
   // pair touching them, Algorithm 3 line 17) produce no update and are
   // not pushed — matching sparse-gradient systems.
-  const bool has_cache = w->cache != nullptr;
-  const bool normalize = score_fn_->NormalizesEntities();
-  const size_t num_keys = task->keys.size();
-  std::vector<EmbKey> push_keys;
-  std::vector<std::span<const float>> push_spans;
-  push_keys.reserve(num_keys);
-  push_spans.reserve(num_keys);
-  uint64_t local_update_params = 0;
-  for (size_t k = 0; k < num_keys; ++k) {
-    const EmbKey key = task->keys[k];
-    const std::span<float> g(
+  std::vector<EmbKey>& update_keys = task->update_keys;
+  std::vector<std::span<const float>>& update_grads = task->update_grads;
+  update_keys.clear();
+  update_grads.clear();
+  for (size_t k = 0; k < task->keys.size(); ++k) {
+    const std::span<const float> g(
         task->grads.data() + task->grad_offsets[k],
         task->grad_offsets[k + 1] - task->grad_offsets[k]);
-    bool nonzero = false;
-    for (float v : g) {
-      if (v != 0.0f) {
-        nonzero = true;
-        break;
-      }
+    if (std::all_of(g.begin(), g.end(), [](float v) { return v == 0.0f; })) {
+      continue;
     }
-    if (!nonzero) continue;
-    if (has_cache && w->cache->Contains(key)) {
-      w->cache->ApplyLocalGradient(key, g, normalize);
+    update_keys.push_back(task->keys[k]);
+    update_grads.push_back(g);
+  }
+  // Hot rows take one batched local AdaGrad step; `cached` marks them.
+  if (w->cache != nullptr) {
+    w->cache->ApplyLocalGradients(update_keys, update_grads,
+                                  score_fn_->NormalizesEntities(),
+                                  &task->cached);
+  } else {
+    task->cached.assign(update_keys.size(), 0);
+  }
+  task->push_keys.clear();
+  task->push_grads.clear();
+  uint64_t local_update_params = 0;
+  for (size_t i = 0; i < update_keys.size(); ++i) {
+    const EmbKey key = update_keys[i];
+    const std::span<const float> g = update_grads[i];
+    if (task->cached[i]) {
       local_update_params += g.size();
       if (sync_.config().write_back_period > 1) {
         // Write-back: accumulate locally; the flush pushes it later.
@@ -680,13 +686,13 @@ void PsTrainingEngine::RunPushStage(StepTask* task) {
         continue;
       }
     }
-    push_keys.push_back(key);
-    push_spans.emplace_back(g.data(), g.size());
+    task->push_keys.push_back(key);
+    task->push_grads.push_back(g);
   }
   backend_->RecordCompute(w->machine,
                           local_update_params * kUpdateFlopsPerParam);
-  if (!push_keys.empty()) {
-    backend_->PushGradBatch(w->machine, push_keys, push_spans);
+  if (!task->push_keys.empty()) {
+    backend_->PushGradBatch(w->machine, task->push_keys, task->push_grads);
   }
   if (obs) {
     const double before = phase_mark;

@@ -217,6 +217,13 @@ class PsTrainingEngine : public TrainingEngine {
     std::vector<ResolvedTriple> positives;
     std::vector<ResolvedPair> pairs;
     std::vector<double> pos_scores;
+    // Push-stage buffers: keys with a nonzero gradient, which of them
+    // the cache holds, and the keys pushed to the PS.
+    std::vector<EmbKey> update_keys;
+    std::vector<std::span<const float>> update_grads;
+    std::vector<uint8_t> cached;
+    std::vector<EmbKey> push_keys;
+    std::vector<std::span<const float>> push_grads;
 
     // Results, filled by the compute stage.
     double loss_sum = 0.0;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <utility>
 
+#include "common/logging.h"
+#include "embedding/embedding_table.h"
 #include "embedding/kernels.h"
 
 namespace hetkg::embedding {
@@ -67,14 +69,28 @@ void AdaGrad::Apply(size_t row_index, std::span<float> row,
 
 void AdaGrad::ApplyBatch(size_t row_index, std::span<float> row,
                          std::span<const float> grad) {
-  assert(row.size() == dim_);
-  assert(grad.size() == dim_);
-  if (!kernels::UseVectorPath()) {
-    Apply(row_index, row, grad);
+  ApplyRows({&row_index, 1}, {&row, 1}, {&grad, 1}, /*normalize=*/false);
+}
+
+void AdaGrad::ApplyRows(std::span<const size_t> slots,
+                        std::span<const std::span<float>> rows,
+                        std::span<const std::span<const float>> grads,
+                        bool normalize) {
+  HETKG_CHECK(rows.size() == slots.size() && grads.size() == slots.size());
+  const size_t rows_held = num_rows();
+  for (size_t k = 0; k < slots.size(); ++k) {
+    HETKG_CHECK(slots[k] < rows_held && rows[k].size() == dim_ &&
+                grads[k].size() == dim_)
+        << "AdaGrad row " << slots[k] << " out of shape";
+  }
+  if (kernels::AdaGradApplyRows(slots, rows, grads, accum_data_, dim_,
+                                learning_rate_, epsilon_, normalize)) {
     return;
   }
-  kernels::AdaGradApplyRow(row, grad, accum_data_ + row_index * dim_,
-                           learning_rate_, epsilon_);
+  for (size_t k = 0; k < slots.size(); ++k) {
+    Apply(slots[k], rows[k], grads[k]);
+    if (normalize) NormalizeRowL2(rows[k]);
+  }
 }
 
 }  // namespace hetkg::embedding

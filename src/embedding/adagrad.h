@@ -52,11 +52,22 @@ class AdaGrad {
   void Apply(size_t row_index, std::span<float> row,
              std::span<const float> grad);
 
-  /// Vectorized Apply (embedding/kernels.cpp): whole-row accumulator
-  /// update + step, bit-identical to Apply on every kernel path. Use on
-  /// hot paths; falls back to Apply under --kernel=scalar.
+  /// One row through ApplyRows without renormalizing: bit-identical to
+  /// Apply on every kernel path.
   void ApplyBatch(size_t row_index, std::span<float> row,
                   std::span<const float> grad);
+
+  /// Batched step: applies grads[k] to rows[k] with accumulator row
+  /// slots[k], in index order, then (with `normalize`) L2-renormalizes
+  /// each updated row exactly as EmbeddingTable::L2NormalizeRow does.
+  /// The AVX2 path is one fused kernel (kernels::AdaGradApplyRows);
+  /// every other path runs the scalar reference, Apply followed by
+  /// NormalizeRowL2. Both give the same bits. Every span must hold
+  /// dim() floats and every slot be < num_rows().
+  void ApplyRows(std::span<const size_t> slots,
+                 std::span<const std::span<float>> rows,
+                 std::span<const std::span<const float>> grads,
+                 bool normalize);
 
   double learning_rate() const { return learning_rate_; }
   void set_learning_rate(double lr) { learning_rate_ = lr; }
@@ -128,6 +139,25 @@ class AdaGrad {
   MmapFile cold_;                  // Tiered backend only.
   float* accum_data_ = nullptr;    // accum_.data() or the slab base.
   size_t accum_size_ = 0;          // Total floats (num_rows * dim).
+};
+
+/// Reusable gather buffer for one AdaGrad::ApplyRows call: callers
+/// group the rows of one table here, then pass the three vectors.
+struct RowBatch {
+  std::vector<size_t> slots;
+  std::vector<std::span<float>> rows;
+  std::vector<std::span<const float>> grads;
+
+  void Clear() {
+    slots.clear();
+    rows.clear();
+    grads.clear();
+  }
+  void Add(size_t slot, std::span<float> row, std::span<const float> grad) {
+    slots.push_back(slot);
+    rows.push_back(row);
+    grads.push_back(grad);
+  }
 };
 
 }  // namespace hetkg::embedding

@@ -216,24 +216,12 @@ void EmbeddingTable::InitGaussian(Rng* rng, float stddev) {
 
 void EmbeddingTable::L2NormalizeRow(size_t i) {
   if (f32_data_ != nullptr) {
-    auto row = Row(i);
-    const double norm = RowNorm(row);
-    if (norm <= 1e-12) return;
-    const float inv = static_cast<float>(1.0 / norm);
-    for (float& v : row) {
-      v *= inv;
-    }
+    NormalizeRowL2(Row(i));
     return;
   }
   std::span<float> slot = t_decode_ring.Claim(dim_);
   ReadRowInto(i, slot);
-  const double norm = RowNorm(slot);
-  if (norm <= 1e-12) return;
-  const float inv = static_cast<float>(1.0 / norm);
-  for (float& v : slot) {
-    v *= inv;
-  }
-  SetRow(i, slot);
+  if (NormalizeRowL2(slot)) SetRow(i, slot);
 }
 
 Status EmbeddingTable::SyncCold() const {
@@ -256,6 +244,16 @@ double RowNorm(std::span<const float> row) {
     sum += static_cast<double>(v) * v;
   }
   return std::sqrt(sum);
+}
+
+bool NormalizeRowL2(std::span<float> row) {
+  const double norm = RowNorm(row);
+  if (norm <= 1e-12) return false;
+  const float inv = static_cast<float>(1.0 / norm);
+  for (float& v : row) {
+    v *= inv;
+  }
+  return true;
 }
 
 double RowDot(std::span<const float> a, std::span<const float> b) {

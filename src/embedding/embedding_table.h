@@ -148,8 +148,14 @@ class EmbeddingTable {
 /// quantized tables (floats, not rows): ~2048 live rows at dim 128.
 inline constexpr size_t kDecodeRingFloats = size_t{1} << 18;
 
-/// Per-row L2 norms, mainly for tests/diagnostics.
+/// Per-row L2 norm: the serial double sum of squares, j = 0..n-1.
 double RowNorm(std::span<const float> row);
+
+/// Scales `row` to unit L2 norm: multiplies by float(1 / RowNorm(row)).
+/// Rows with norm <= 1e-12 are left untouched and return false. The
+/// scalar reference of every entity renormalize (L2NormalizeRow,
+/// AdaGrad::ApplyRows).
+bool NormalizeRowL2(std::span<float> row);
 
 /// Dot product of two rows of equal length.
 double RowDot(std::span<const float> a, std::span<const float> b);

@@ -1073,65 +1073,116 @@ void ComplExScoreBackwardBatch(const TripleView& ref,
 // AdaGrad
 // ======================================================================
 
-namespace {
-
-void AdaGradApplyRowPortable(float* __restrict__ row,
-                             const float* __restrict__ grad,
-                             float* __restrict__ acc, size_t n, double lr,
-                             double eps) {
-  for (size_t j = 0; j < n; ++j) {
-    const double g = grad[j];
-    acc[j] += static_cast<float>(g * g);
-    row[j] -= static_cast<float>(
-        lr * g / std::sqrt(static_cast<double>(acc[j]) + eps));
-  }
-}
-
 #if HETKG_KERNELS_X86
 
-// IEEE sqrt and divide are correctly rounded, so this is bit-identical
-// to the scalar loop; no rsqrt approximation is allowed here.
-__attribute__((target("avx2"))) void AdaGradApplyRowAvx2(
-    float* row, const float* grad, float* acc, size_t n, double lr,
-    double eps) {
-  const __m256d lrv = _mm256_set1_pd(lr);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(grad + j));
-    const __m128 gg = _mm256_cvtpd_ps(_mm256_mul_pd(g, g));
-    const __m128 acc_new = _mm_add_ps(_mm_loadu_ps(acc + j), gg);
-    _mm_storeu_ps(acc + j, acc_new);
-    const __m256d denom =
-        _mm256_sqrt_pd(_mm256_add_pd(_mm256_cvtps_pd(acc_new), epsv));
-    const __m256d step = _mm256_div_pd(_mm256_mul_pd(lrv, g), denom);
-    _mm_storeu_ps(row + j,
-                  _mm_sub_ps(_mm_loadu_ps(row + j), _mm256_cvtpd_ps(step)));
+namespace {
+
+/// Prefetches every cache line of `bytes` bytes starting at `p`.
+__attribute__((target("avx2"))) inline void PrefetchSpan(const void* p,
+                                                         size_t bytes) {
+  const char* c = static_cast<const char*>(p);
+  for (size_t off = 0; off < bytes; off += 64) {
+    _mm_prefetch(c + off, _MM_HINT_T0);
   }
-  for (; j < n; ++j) {
-    const double g = grad[j];
-    acc[j] += static_cast<float>(g * g);
-    row[j] -= static_cast<float>(
-        lr * g / std::sqrt(static_cast<double>(acc[j]) + eps));
-  }
+  _mm_prefetch(c + bytes - 1, _MM_HINT_T0);
 }
 
-#endif  // HETKG_KERNELS_X86
+// IEEE sqrt and divide are correctly rounded, so the step is
+// bit-identical to AdaGrad::Apply; no rsqrt approximation is allowed.
+// The renormalize keeps RowNorm's serial add order: each updated float
+// is squared in double (exact) and added to one scalar `sum` in
+// j order, so the sum and float(1 / norm) are RowNorm's bits, which
+// TreeReduce8's lane order would not give. The chain waits only on its
+// own element's step, so its latency mostly overlaps the divider work
+// of the next elements.
+template <bool kNormalize>
+__attribute__((target("avx2"))) void AdaGradApplyRowsAvx2(
+    const size_t* slots, const std::span<float>* rows,
+    const std::span<const float>* grads, size_t count, float* acc_base,
+    size_t n, double lr, double eps) {
+  const __m256d lrv = _mm256_set1_pd(lr);
+  const __m256d epsv = _mm256_set1_pd(eps);
+  const size_t row_bytes = n * sizeof(float);
+  for (size_t k = 0; k < count; ++k) {
+    if (k + 1 < count) {
+      PrefetchSpan(rows[k + 1].data(), row_bytes);
+      PrefetchSpan(acc_base + slots[k + 1] * n, row_bytes);
+    }
+    float* row = rows[k].data();
+    const float* grad = grads[k].data();
+    float* acc = acc_base + slots[k] * n;
+    double sum = 0.0;
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(grad + j));
+      const __m128 gg = _mm256_cvtpd_ps(_mm256_mul_pd(g, g));
+      const __m128 acc_new = _mm_add_ps(_mm_loadu_ps(acc + j), gg);
+      _mm_storeu_ps(acc + j, acc_new);
+      const __m256d denom =
+          _mm256_sqrt_pd(_mm256_add_pd(_mm256_cvtps_pd(acc_new), epsv));
+      const __m256d step = _mm256_div_pd(_mm256_mul_pd(lrv, g), denom);
+      const __m128 updated =
+          _mm_sub_ps(_mm_loadu_ps(row + j), _mm256_cvtpd_ps(step));
+      _mm_storeu_ps(row + j, updated);
+      if constexpr (kNormalize) {
+        const __m256d v = _mm256_cvtps_pd(updated);
+        alignas(32) double sq[4];
+        _mm256_store_pd(sq, _mm256_mul_pd(v, v));
+        sum += sq[0];
+        sum += sq[1];
+        sum += sq[2];
+        sum += sq[3];
+      }
+    }
+    for (; j < n; ++j) {
+      const double g = grad[j];
+      acc[j] += static_cast<float>(g * g);
+      row[j] -= static_cast<float>(
+          lr * g / std::sqrt(static_cast<double>(acc[j]) + eps));
+      if constexpr (kNormalize) sum += static_cast<double>(row[j]) * row[j];
+    }
+    if constexpr (kNormalize) {
+      const double norm = std::sqrt(sum);
+      if (norm <= 1e-12) continue;
+      const float inv = static_cast<float>(1.0 / norm);
+      const __m256 invv = _mm256_set1_ps(inv);
+      j = 0;
+      for (; j + 8 <= n; j += 8) {
+        _mm256_storeu_ps(row + j,
+                         _mm256_mul_ps(_mm256_loadu_ps(row + j), invv));
+      }
+      for (; j < n; ++j) row[j] *= inv;
+    }
+  }
+}
 
 }  // namespace
 
-void AdaGradApplyRow(std::span<float> row, std::span<const float> grad,
-                     float* acc, double learning_rate, double epsilon) {
-  assert(row.size() == grad.size());
+#endif  // HETKG_KERNELS_X86
+
+bool AdaGradApplyRows(std::span<const size_t> slots,
+                      std::span<const std::span<float>> rows,
+                      std::span<const std::span<const float>> grads,
+                      float* acc, size_t dim, double learning_rate,
+                      double epsilon, bool normalize) {
 #if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    AdaGradApplyRowAvx2(row.data(), grad.data(), acc, row.size(),
-                        learning_rate, epsilon);
-    return;
+  if (ActivePath() != KernelPath::kAvx2) return false;
+  assert(rows.size() == slots.size() && grads.size() == slots.size());
+  if (normalize) {
+    AdaGradApplyRowsAvx2<true>(slots.data(), rows.data(), grads.data(),
+                               slots.size(), acc, dim, learning_rate,
+                               epsilon);
+  } else {
+    AdaGradApplyRowsAvx2<false>(slots.data(), rows.data(), grads.data(),
+                                slots.size(), acc, dim, learning_rate,
+                                epsilon);
   }
+  return true;
+#else
+  (void)slots, (void)rows, (void)grads, (void)acc, (void)dim;
+  (void)learning_rate, (void)epsilon, (void)normalize;
+  return false;
 #endif
-  AdaGradApplyRowPortable(row.data(), grad.data(), acc, row.size(),
-                          learning_rate, epsilon);
 }
 
 // ======================================================================

@@ -189,12 +189,26 @@ void ComplExScoreBackwardBatch(const TripleView& ref,
                                std::span<const GradView> grads,
                                KernelScratch* scratch);
 
-/// Vectorized sparse-AdaGrad row update:
+/// Fused AVX2 sparse-AdaGrad step over a batch of rows (DESIGN.md §10).
+/// Row k is `rows[k]`, its gradient `grads[k]` and its accumulator the
+/// `dim` floats at `acc + slots[k] * dim`; every span holds `dim`
+/// floats. Per element, with g = double(grad[j]):
 ///   acc[j] += float(g*g);  row[j] -= float(lr * g / sqrt(acc[j] + eps))
-/// with g = double(grad[j]). sqrt and divide are IEEE-exact, so the
-/// SIMD path is bit-identical to AdaGrad::Apply's scalar loop.
-void AdaGradApplyRow(std::span<float> row, std::span<const float> grad,
-                     float* acc, double learning_rate, double epsilon);
+/// and, with `normalize`, the updated row is then scaled by
+/// float(1 / norm) unless norm <= 1e-12, where norm is the square root
+/// of RowNorm's serial double sum (j = 0..dim-1, not TreeReduce8). The
+/// sum is folded into the step loop and the next row's value and
+/// accumulator lines are prefetched. Rows apply in index order, so a
+/// repeated slot steps from its earlier update. sqrt, divide and the
+/// double squares are IEEE-exact, so the bits equal AdaGrad::Apply
+/// followed by EmbeddingTable::L2NormalizeRow. Returns false, touching
+/// nothing, unless the active path is AVX2; the caller then runs the
+/// scalar reference (AdaGrad::ApplyRows).
+bool AdaGradApplyRows(std::span<const size_t> slots,
+                      std::span<const std::span<float>> rows,
+                      std::span<const std::span<const float>> grads,
+                      float* acc, size_t dim, double learning_rate,
+                      double epsilon, bool normalize);
 
 // -- Cold-tier row codecs (DESIGN.md §16) ------------------------------
 // The quantize-on-write-back / dequantize-on-pull primitives of the

@@ -39,10 +39,19 @@ Result<std::vector<Triple>> ParseTsvTriples(std::string_view body,
                                 ": expected 3 tab-separated fields, got " +
                                 std::to_string(fields.size()));
     }
+    std::string_view tokens[3];
+    for (size_t f = 0; f < 3; ++f) {
+      tokens[f] = TrimString(fields[f]);
+      if (tokens[f].empty()) {
+        return Status::Corruption("line " + std::to_string(line_no) +
+                                  ": field " + std::to_string(f + 1) +
+                                  " is empty");
+      }
+    }
     Triple t;
-    t.head = entities->GetOrAdd(std::string(TrimString(fields[0])));
-    t.relation = relations->GetOrAdd(std::string(TrimString(fields[1])));
-    t.tail = entities->GetOrAdd(std::string(TrimString(fields[2])));
+    t.head = entities->GetOrAdd(std::string(tokens[0]));
+    t.relation = relations->GetOrAdd(std::string(tokens[1]));
+    t.tail = entities->GetOrAdd(std::string(tokens[2]));
     triples.push_back(t);
   }
   return triples;

@@ -45,6 +45,9 @@ Result<LoadedDataset> LoadTsvDataset(const std::string& train_path,
                                      std::string name = "tsv");
 
 /// Parses one in-memory TSV body (used by tests and by LoadTsvDataset).
+/// Blank and '#' lines are skipped; a line without exactly three
+/// fields, or with a field that is empty after trimming, is Corruption
+/// naming its line number.
 Result<std::vector<Triple>> ParseTsvTriples(std::string_view body,
                                             Vocabulary* entities,
                                             Vocabulary* relations);

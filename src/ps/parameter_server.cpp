@@ -160,40 +160,29 @@ void ParameterServer::SetValue(EmbKey key, std::span<const float> value) {
   }
 }
 
-void ParameterServer::ApplyGradient(EmbKey key, std::span<const float> grad) {
-  if (IsRelationKey(key)) {
-    const RelationId r = KeyRelation(key);
-    if (relation_table_.row_addressable()) {
-      relation_opt_.ApplyBatch(r, relation_table_.Row(r), grad);
-      return;
+void ParameterServer::ApplyGradients(embedding::EmbeddingTable* table,
+                                     embedding::AdaGrad* opt,
+                                     embedding::RowBatch* batch,
+                                     bool normalize) {
+  if (table->row_addressable()) {
+    for (const size_t slot : batch->slots) {
+      batch->rows.push_back(table->Row(slot));
     }
-    // Quantized row: dequantize, take the fp32 AdaGrad step (the
-    // accumulator is fp32 regardless of the cold dtype), requantize.
-    scratch_apply_row_.resize(config_.relation_dim);
-    relation_table_.ReadRowInto(r, scratch_apply_row_);
-    relation_opt_.ApplyBatch(r, scratch_apply_row_, grad);
-    relation_table_.SetRow(r, scratch_apply_row_);
+    opt->ApplyRows(batch->slots, batch->rows, batch->grads, normalize);
     return;
   }
-  const EntityId e = KeyEntity(key);
-  if (entity_table_.row_addressable()) {
-    entity_opt_.ApplyBatch(e, entity_table_.Row(e), grad);
-    if (config_.normalize_entities) {
-      entity_table_.L2NormalizeRow(e);
-    }
-    return;
+  // Quantized rows: dequantize, take the fp32 step (the accumulator is
+  // fp32 regardless of the cold dtype), requantize. One row at a time,
+  // so a key pushed twice in one batch steps from its requantized first
+  // update, exactly as two pushes would.
+  scratch_apply_row_.resize(table->dim());
+  std::span<float> row(scratch_apply_row_);
+  for (size_t k = 0; k < batch->slots.size(); ++k) {
+    table->ReadRowInto(batch->slots[k], row);
+    opt->ApplyRows({&batch->slots[k], 1}, {&row, 1}, {&batch->grads[k], 1},
+                   normalize);
+    table->SetRow(batch->slots[k], row);
   }
-  scratch_apply_row_.resize(config_.entity_dim);
-  entity_table_.ReadRowInto(e, scratch_apply_row_);
-  entity_opt_.ApplyBatch(e, scratch_apply_row_, grad);
-  if (config_.normalize_entities) {
-    const double norm = embedding::RowNorm(scratch_apply_row_);
-    if (norm > 1e-12) {
-      const float inv = static_cast<float>(1.0 / norm);
-      for (float& v : scratch_apply_row_) v *= inv;
-    }
-  }
-  entity_table_.SetRow(e, scratch_apply_row_);
 }
 
 PullResult ParameterServer::PullBatch(uint32_t worker_machine,
@@ -323,10 +312,25 @@ PushResult ParameterServer::PushGradBatch(
     }
   }
 
+  // Apply the delivered rows: one batched optimizer call per table.
+  // The tables are disjoint, so grouping keeps every row's update
+  // sequence, and within a group rows apply in key order.
+  entity_batch_.Clear();
+  relation_batch_.Clear();
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!scratch_shard_ok_[scratch_key_owner_[i]]) continue;
-    ApplyGradient(keys[i], grads[i]);
+    if (IsRelationKey(keys[i])) {
+      relation_batch_.slots.push_back(KeyRelation(keys[i]));
+      relation_batch_.grads.push_back(grads[i]);
+    } else {
+      entity_batch_.slots.push_back(KeyEntity(keys[i]));
+      entity_batch_.grads.push_back(grads[i]);
+    }
   }
+  ApplyGradients(&entity_table_, &entity_opt_, &entity_batch_,
+                 config_.normalize_entities);
+  ApplyGradients(&relation_table_, &relation_opt_, &relation_batch_,
+                 /*normalize=*/false);
   return result;
 }
 

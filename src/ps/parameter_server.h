@@ -201,10 +201,14 @@ class ParameterServer {
                   embedding::AdaGrad entity_opt,
                   embedding::AdaGrad relation_opt);
 
-  /// Applies one gradient row to the global table. Quantized tables
-  /// take the dequantize -> fp32 AdaGrad step -> requantize path; the
-  /// accumulator itself is always fp32.
-  void ApplyGradient(EmbKey key, std::span<const float> grad);
+  /// Applies the gathered gradient rows (`batch->slots`/`grads`; its
+  /// `rows` start empty) to `table`. Addressable tables take one
+  /// ApplyRows call; quantized tables take the dequantize -> fp32
+  /// AdaGrad step -> requantize path row by row; the accumulator itself
+  /// is always fp32.
+  void ApplyGradients(embedding::EmbeddingTable* table,
+                      embedding::AdaGrad* opt, embedding::RowBatch* batch,
+                      bool normalize);
 
   PsConfig config_;
   std::vector<uint32_t> entity_owner_;
@@ -233,6 +237,8 @@ class ParameterServer {
   std::vector<uint64_t> scratch_payload_;
   std::vector<char> scratch_shard_ok_;
   std::vector<float> scratch_apply_row_;  // Quantized apply staging.
+  embedding::RowBatch entity_batch_;       // PushGradBatch groups.
+  embedding::RowBatch relation_batch_;
 };
 
 }  // namespace hetkg::ps

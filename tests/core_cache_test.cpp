@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/serialize.h"
 #include "core/baseline_caches.h"
 #include "core/hot_filter.h"
 #include "core/sync_controller.h"
@@ -78,6 +80,57 @@ TEST(HotEmbeddingTableTest, NormalizeEntitiesOnUpdate) {
   double norm_sq = 0.0;
   for (float v : row) norm_sq += static_cast<double>(v) * v;
   EXPECT_NEAR(norm_sq, 1.0, 1e-5);
+}
+
+// The batched local step equals one ApplyLocalGradient per cached key:
+// same rows, same accumulators (SaveState covers both), with uncached
+// keys skipped and reported.
+TEST(HotEmbeddingTableTest, BatchedLocalGradientsMatchPerKey) {
+  for (const bool normalize : {false, true}) {
+    HotEmbeddingTable batched(3, 2, 5, 7, 0.1);
+    HotEmbeddingTable per_key(3, 2, 5, 7, 0.1);
+    const std::vector<EmbKey> hot = {EntityKey(1), EntityKey(4),
+                                     EntityKey(6), RelationKey(0),
+                                     RelationKey(2)};
+    batched.Assign(hot);
+    per_key.Assign(hot);
+    Rng rng(31);
+    for (EmbKey key : hot) {
+      std::vector<float> value(IsRelationKey(key) ? 7 : 5);
+      for (float& v : value) v = static_cast<float>(rng.NextUniform(-1, 1));
+      batched.Refresh(key, value);
+      per_key.Refresh(key, value);
+    }
+    // Cached and uncached keys of both kinds, interleaved.
+    const std::vector<EmbKey> keys = {RelationKey(2), EntityKey(4),
+                                      EntityKey(9),   RelationKey(1),
+                                      EntityKey(1),   RelationKey(0),
+                                      EntityKey(6)};
+    std::vector<uint8_t> cached;
+    for (int step = 0; step < 3; ++step) {
+      std::vector<std::vector<float>> grads;
+      std::vector<std::span<const float>> spans;
+      for (EmbKey key : keys) {
+        grads.emplace_back(IsRelationKey(key) ? 7 : 5);
+        for (float& g : grads.back()) {
+          g = static_cast<float>(rng.NextUniform(-0.5, 0.5));
+        }
+      }
+      for (const auto& g : grads) spans.emplace_back(g);
+      batched.ApplyLocalGradients(keys, spans, normalize, &cached);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (per_key.Contains(keys[i])) {
+          per_key.ApplyLocalGradient(keys[i], spans[i], normalize);
+        }
+      }
+    }
+    EXPECT_EQ(cached, (std::vector<uint8_t>{1, 1, 0, 0, 1, 1, 1}));
+    ByteWriter a;
+    ByteWriter b;
+    batched.SaveState(&a);
+    per_key.SaveState(&b);
+    EXPECT_EQ(a.buffer(), b.buffer()) << "normalize=" << normalize;
+  }
 }
 
 TEST(ComputeQuotaTest, SplitsByEntityRatio) {

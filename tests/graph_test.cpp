@@ -216,6 +216,20 @@ TEST(LoaderTest, RejectsMalformedLines) {
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
 }
 
+TEST(LoaderTest, RejectsEmptyFields) {
+  for (const char* body : {"alice\tknows\tbob\nalice\t\tbob\n",
+                           "alice\tknows\tbob\nalice\t \tbob\n"}) {
+    Vocabulary entities;
+    Vocabulary relations;
+    const auto result = ParseTsvTriples(body, &entities, &relations);
+    ASSERT_FALSE(result.ok()) << body;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(result.status().ToString().find("line 2"), std::string::npos)
+        << result.status().ToString();
+    EXPECT_FALSE(relations.Get("").ok());
+  }
+}
+
 TEST(LoaderTest, LoadsDatasetFromFiles) {
   const std::string dir = ::testing::TempDir();
   const std::string train_path = dir + "/train.tsv";

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -14,6 +16,7 @@
 #include "common/rng.h"
 #include "core/trainer.h"
 #include "embedding/adagrad.h"
+#include "embedding/embedding_table.h"
 #include "embedding/kernels.h"
 #include "embedding/score_function.h"
 #include "graph/synthetic.h"
@@ -320,6 +323,192 @@ TEST(KernelAdaGradTest, ApplyBatchBitIdenticalToApply) {
       } else {
         ASSERT_EQ(batch_rows, *first_rows) << "dim=" << dim;
       }
+    }
+  }
+}
+
+// ---- Fused AdaGrad step + renormalize (AdaGrad::ApplyRows) ----------
+
+/// Slot layout of the fused-step fixture. Every slot stresses one edge
+/// of the step or of the renormalize.
+enum FusedSlot : size_t {
+  kRandomSlot,      // Random row, random gradient.
+  kZeroGradSlot,    // Random row, all-zero gradient.
+  kZeroRowSlot,     // All-zero row and gradient: norm 0, skipped.
+  kTinySlot,        // Post-step norm far below 1e-12: skipped.
+  kDenormalSlot,    // Denormal row/gradient entries beside normal ones.
+  kAllDenormalSlot, // Only denormals: post-step norm below 1e-12.
+  kAtFloorSlot,     // Norm float(1e-12), on the threshold.
+  kAboveFloorSlot,  // Norm one float ulp above float(1e-12).
+  kNumFusedSlots,
+};
+
+constexpr float kDenormal = 3.0e-40f;
+
+std::vector<float> FusedInitRow(size_t slot, size_t dim, Rng* rng) {
+  std::vector<float> row(dim, 0.0f);
+  for (size_t j = 0; j < dim; ++j) {
+    switch (slot) {
+      case kRandomSlot:
+      case kZeroGradSlot:
+        row[j] = static_cast<float>(rng->NextUniform(-1.0, 1.0));
+        break;
+      case kTinySlot:
+        row[j] = 1e-15f;
+        break;
+      case kDenormalSlot:
+        row[j] = j == 0 ? 0.5f : (j % 2 == 0 ? kDenormal : -kDenormal);
+        break;
+      case kAllDenormalSlot:
+        row[j] = j % 2 == 0 ? kDenormal : -kDenormal;
+        break;
+      case kAtFloorSlot:
+        row[j] = j == 0 ? 1e-12f : 0.0f;
+        break;
+      case kAboveFloorSlot:
+        row[j] = j == 0 ? std::nextafter(1e-12f, 1.0f) : 0.0f;
+        break;
+      default:
+        break;
+    }
+  }
+  return row;
+}
+
+std::vector<float> FusedGrad(size_t slot, size_t dim, Rng* rng) {
+  std::vector<float> grad(dim, 0.0f);
+  for (size_t j = 0; j < dim; ++j) {
+    switch (slot) {
+      case kRandomSlot:
+        grad[j] = static_cast<float>(rng->NextUniform(-0.5, 0.5));
+        break;
+      case kDenormalSlot:
+        grad[j] = j % 2 == 0
+                      ? kDenormal
+                      : static_cast<float>(rng->NextUniform(-0.5, 0.5));
+        break;
+      case kAllDenormalSlot:
+        grad[j] = -kDenormal;
+        break;
+      default:
+        break;  // Zero gradient.
+    }
+  }
+  return grad;
+}
+
+/// How one run applies each batch of rows.
+enum class FusedVariant {
+  kApplyRows,          // One ApplyRows(normalize=true) call per batch.
+  kApplyBatchThenL2,   // ApplyBatch, then EmbeddingTable::L2NormalizeRow.
+  kApplyThenRowNorm,   // Scalar Apply, then RowNorm's scale by hand.
+  kApplyRowsNoNorm,    // One ApplyRows(normalize=false) call per batch.
+  kApplyNoNorm,        // Scalar Apply only.
+};
+
+struct FusedRun {
+  std::vector<float> rows;
+  std::vector<float> accum;
+};
+
+FusedRun RunFused(size_t dim, FusedVariant variant, kernels::KernelMode mode) {
+  ScopedKernelMode scoped(mode);
+  embedding::EmbeddingTable table(kNumFusedSlots, dim);
+  embedding::AdaGrad opt(kNumFusedSlots, dim, 0.1);
+  Rng init_rng(500 + dim);
+  for (size_t slot = 0; slot < kNumFusedSlots; ++slot) {
+    table.SetRow(slot, FusedInitRow(slot, dim, &init_rng));
+  }
+  // Every slot once, then the random slot again: a repeated slot must
+  // step from its own earlier update within the batch.
+  std::vector<size_t> slots;
+  for (size_t slot = 0; slot < kNumFusedSlots; ++slot) slots.push_back(slot);
+  slots.push_back(kRandomSlot);
+  Rng grad_rng(77 + dim);
+  for (int step = 0; step < 3; ++step) {
+    std::vector<std::vector<float>> grads;
+    for (size_t slot : slots) grads.push_back(FusedGrad(slot, dim, &grad_rng));
+    std::vector<std::span<float>> rows;
+    std::vector<std::span<const float>> grad_spans;
+    for (size_t k = 0; k < slots.size(); ++k) {
+      rows.push_back(table.Row(slots[k]));
+      grad_spans.emplace_back(grads[k]);
+    }
+    switch (variant) {
+      case FusedVariant::kApplyRows:
+      case FusedVariant::kApplyRowsNoNorm:
+        opt.ApplyRows(slots, rows, grad_spans,
+                      variant == FusedVariant::kApplyRows);
+        break;
+      case FusedVariant::kApplyBatchThenL2:
+        for (size_t k = 0; k < slots.size(); ++k) {
+          opt.ApplyBatch(slots[k], rows[k], grad_spans[k]);
+          table.L2NormalizeRow(slots[k]);
+        }
+        break;
+      case FusedVariant::kApplyThenRowNorm:
+      case FusedVariant::kApplyNoNorm:
+        for (size_t k = 0; k < slots.size(); ++k) {
+          opt.Apply(slots[k], rows[k], grad_spans[k]);
+          if (variant == FusedVariant::kApplyNoNorm) continue;
+          const double norm = embedding::RowNorm(rows[k]);
+          if (norm <= 1e-12) continue;
+          const float inv = static_cast<float>(1.0 / norm);
+          for (float& v : rows[k]) v *= inv;
+        }
+        break;
+    }
+  }
+  FusedRun run;
+  for (size_t slot = 0; slot < kNumFusedSlots; ++slot) {
+    const auto row = table.Row(slot);
+    const auto acc = opt.AccumulatorRow(slot);
+    run.rows.insert(run.rows.end(), row.begin(), row.end());
+    run.accum.insert(run.accum.end(), acc.begin(), acc.end());
+  }
+  return run;
+}
+
+::testing::AssertionResult SameBits(const FusedRun& a, const FusedRun& b) {
+  if (a.rows.size() != b.rows.size() || a.accum.size() != b.accum.size()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  for (size_t i = 0; i < a.rows.size(); ++i) {
+    if (std::memcmp(&a.rows[i], &b.rows[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "row float " << i << ": " << a.rows[i] << " vs " << b.rows[i];
+    }
+  }
+  if (std::memcmp(a.accum.data(), b.accum.data(),
+                  a.accum.size() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "accumulators differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(KernelAdaGradTest, FusedRowsBitIdentical) {
+  constexpr kernels::KernelMode kScalar = kernels::KernelMode::kScalar;
+  constexpr kernels::KernelMode kVector = kernels::KernelMode::kVector;
+  for (size_t dim : {1u, 3u, 4u, 5u, 7u, 8u, 32u, 64u, 100u, 128u, 400u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const FusedRun fused = RunFused(dim, FusedVariant::kApplyRows, kVector);
+    EXPECT_TRUE(SameBits(
+        fused, RunFused(dim, FusedVariant::kApplyBatchThenL2, kVector)));
+    EXPECT_TRUE(SameBits(
+        fused, RunFused(dim, FusedVariant::kApplyThenRowNorm, kScalar)));
+    EXPECT_TRUE(
+        SameBits(fused, RunFused(dim, FusedVariant::kApplyRows, kScalar)));
+
+    const FusedRun plain =
+        RunFused(dim, FusedVariant::kApplyRowsNoNorm, kVector);
+    EXPECT_TRUE(
+        SameBits(plain, RunFused(dim, FusedVariant::kApplyNoNorm, kScalar)));
+    EXPECT_TRUE(SameBits(
+        plain, RunFused(dim, FusedVariant::kApplyRowsNoNorm, kScalar)));
+
+    // The skip branch ran: the zero row is still zero.
+    for (size_t j = 0; j < dim; ++j) {
+      ASSERT_EQ(fused.rows[kZeroRowSlot * dim + j], 0.0f);
     }
   }
 }

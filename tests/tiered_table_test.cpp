@@ -26,6 +26,8 @@
 #include "embedding/kernels.h"
 #include "embedding/tiered_store.h"
 #include "graph/synthetic.h"
+#include "ps/parameter_server.h"
+#include "sim/cluster.h"
 
 namespace hetkg {
 namespace {
@@ -306,6 +308,107 @@ TEST(TieredTableTest, AdaGradAccumulatorStaysFp32UnderQuantizedOpts) {
   opt->Apply(0, row, grad);
   EXPECT_GT(opt->AccumulatorRow(0)[0], 0.0f);
   EXPECT_TRUE(opt->SyncCold().ok());
+}
+
+// A quantized push dequantizes, steps and requantizes each row. The
+// batched PushGradBatch must leave exactly the bytes of the row-by-row
+// sequence it replaced: decode, scalar AdaGrad::Apply, RowNorm scale
+// (entities), encode — including a key pushed twice in one batch.
+TEST(TieredPsTest, QuantizedPushMatchesRowByRowReference) {
+  constexpr size_t kEntities = 12;
+  constexpr size_t kRelations = 5;
+  constexpr size_t kEntityDim = 12;
+  constexpr size_t kRelationDim = 20;
+  for (const ColdDtype dtype : {ColdDtype::kInt8, ColdDtype::kFp16}) {
+    for (const kernels::KernelMode mode :
+         {kernels::KernelMode::kScalar, kernels::KernelMode::kVector}) {
+      SCOPED_TRACE(std::string(embedding::ColdDtypeName(dtype)) + " " +
+                   std::string(kernels::KernelModeName(mode)));
+      ScopedKernelMode scoped(mode);
+      const std::string dir = FreshDir("tier-ps-push");
+      sim::ClusterSim cluster(2);
+      ps::PsConfig config;
+      config.num_entities = kEntities;
+      config.num_relations = kRelations;
+      config.entity_dim = kEntityDim;
+      config.relation_dim = kRelationDim;
+      config.learning_rate = 0.1;
+      config.normalize_entities = true;
+      config.storage = Tiered(dir, dtype);
+      std::vector<uint32_t> owner(kEntities);
+      for (size_t e = 0; e < kEntities; ++e) owner[e] = e % 2;
+      auto server = ps::ParameterServer::Create(config, owner, &cluster);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      (*server)->InitEmbeddings();
+
+      // The reference: the same tables, initialized the same way.
+      const std::string ref_dir = FreshDir("tier-ps-push-ref");
+      auto entities = EmbeddingTable::CreateTiered(
+          kEntities, kEntityDim, Tiered(ref_dir, dtype), "entity");
+      auto relations = EmbeddingTable::CreateTiered(
+          kRelations, kRelationDim, Tiered(ref_dir, dtype), "relation");
+      ASSERT_TRUE(entities.ok() && relations.ok());
+      Rng init(config.init_seed);
+      entities->InitXavierUniform(&init);
+      relations->InitXavierUniform(&init);
+      for (size_t e = 0; e < kEntities; ++e) entities->L2NormalizeRow(e);
+      embedding::AdaGrad entity_opt(kEntities, kEntityDim, 0.1);
+      embedding::AdaGrad relation_opt(kRelations, kRelationDim, 0.1);
+
+      const std::vector<EmbKey> keys = {
+          EntityKey(3),   RelationKey(1), EntityKey(8), EntityKey(3),
+          RelationKey(4), EntityKey(0),   RelationKey(1), EntityKey(11)};
+      Rng grad_rng(5);
+      for (int step = 0; step < 3; ++step) {
+        std::vector<std::vector<float>> grads;
+        std::vector<std::span<const float>> spans;
+        for (EmbKey key : keys) {
+          grads.push_back(RandomRow(IsRelationKey(key) ? kRelationDim
+                                                        : kEntityDim,
+                                    grad_rng.NextUint64(), 0.5f));
+        }
+        for (const auto& g : grads) spans.emplace_back(g);
+        (*server)->PushGradBatch(0, keys, spans);
+
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const bool relation = IsRelationKey(keys[i]);
+          EmbeddingTable& table = relation ? *relations : *entities;
+          embedding::AdaGrad& opt = relation ? relation_opt : entity_opt;
+          const size_t id =
+              relation ? KeyRelation(keys[i]) : KeyEntity(keys[i]);
+          std::vector<float> row(table.dim());
+          table.ReadRowInto(id, row);
+          opt.Apply(id, row, spans[i]);
+          if (!relation) {
+            const double norm = embedding::RowNorm(row);
+            if (norm > 1e-12) {
+              const float inv = static_cast<float>(1.0 / norm);
+              for (float& v : row) v *= inv;
+            }
+          }
+          table.SetRow(id, row);
+        }
+      }
+
+      auto expect_same = [&](EmbKey key, const EmbeddingTable& table,
+                             size_t id) {
+        std::vector<float> got(table.dim());
+        std::vector<float> want(table.dim());
+        (*server)->ReadValueInto(key, got);
+        table.ReadRowInto(id, want);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "key " << key;
+      };
+      for (size_t e = 0; e < kEntities; ++e) {
+        expect_same(EntityKey(e), *entities, e);
+      }
+      for (size_t r = 0; r < kRelations; ++r) {
+        expect_same(RelationKey(r), *relations, r);
+      }
+    }
+  }
 }
 
 // ---- End-to-end training equivalence ---------------------------------
