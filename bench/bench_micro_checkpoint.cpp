@@ -1,13 +1,16 @@
 // google-benchmark micro-benchmarks for the crash-recovery hot paths
-// (DESIGN.md §9): HETKGCK2 eval-checkpoint save/load at several table
-// sizes, and full training-state snapshot save/restore through a live
-// engine. Throughput is reported as rows/sec (items) and bytes/sec.
+// (DESIGN.md §9): the CRC-32 every frame, container and sidecar pays,
+// HETKGCK2 eval-checkpoint save/load at several table sizes, and full
+// training-state snapshot save/restore through a live engine.
+// Throughput is reported as rows/sec (items) and bytes/sec.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "hetkg/hetkg.h"
 
 namespace {
@@ -27,6 +30,22 @@ embedding::EmbeddingTable FilledTable(size_t rows, size_t dim,
   table.InitGaussian(&rng, 1.0f);
   return table;
 }
+
+// CRC-32 of one range(0)-byte buffer per iteration: PCLMULQDQ folding
+// where the CPU has it, else the byte-table loop.
+void BM_Crc32(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  std::vector<unsigned char> buffer(size);
+  Rng rng(11);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.NextUint64());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buffer.data(), size));
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(64 << 10)->Arg(32 << 20);
 
 void BM_CheckpointSave(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));

@@ -998,14 +998,27 @@ Result<TrainReport> PsTrainingEngine::Train(size_t num_epochs) {
   // embedding binary didn't already; one session spans every rewind,
   // and the lease stops it (writing the file) on every exit path.
   obs::TracerLease trace_lease{obs::TraceOptions{config_.obs.trace_out}};
+  // A scheduled worker crash may fire before the first periodic
+  // snapshot. Committing the seed-determined initial state as the
+  // iteration-0 snapshot gives that rewind a target; it is not a
+  // periodic save, so no checkpoint.* counter moves.
+  const bool crash_scheduled = std::any_of(
+      config_.fault.process_faults.begin(),
+      config_.fault.process_faults.end(), [](const sim::ProcessFault& f) {
+        return f.kind == sim::ProcessFaultKind::kWorkerCrash;
+      });
+  if (crash_scheduled && ckpt_manager_ != nullptr && !resume_pending_ &&
+      global_iteration_ == 0) {
+    HETKG_RETURN_IF_ERROR(SaveTrainState(ckpt_manager_->SnapshotPath(0)));
+    HETKG_RETURN_IF_ERROR(ckpt_manager_->Commit(0));
+  }
   TrainReport report;
   for (;;) {
     const Status status = TrainInner(num_epochs, &report);
     if (status.ok()) break;
-    const bool crashed =
-        sim_worker_crashed_ ||
-        (step_driver_ != nullptr && step_driver_->WorkerFailed());
-    if (!crashed) return status;
+    const bool process_died =
+        step_driver_ != nullptr && step_driver_->WorkerFailed();
+    if (!sim_worker_crashed_ && !process_died) return status;
     // A worker died mid-run: an in-sim kWorkerCrash (in either runtime)
     // or, under the process runtime, a real worker process. Recovery is
     // the same full rewind in every case (DESIGN.md §9): every other
@@ -1022,8 +1035,9 @@ Result<TrainReport> PsTrainingEngine::Train(size_t num_epochs) {
             : RestoreTrainState(config_.checkpoint_dir);
     if (!restored.ok()) {
       return Status::FailedPrecondition(
-          "worker process died and no checkpoint is restorable: " +
-          restored.ToString());
+          std::string(process_died ? "worker process died"
+                                   : "worker crashed") +
+          " and no checkpoint is restorable: " + restored.ToString());
     }
     transport_.KeepProcessFaultsDelivered(delivered);
     if (step_driver_ != nullptr) {

@@ -79,8 +79,10 @@ class PsTrainingEngine : public TrainingEngine {
   /// A worker crash — an in-sim kWorkerCrash or, under the process
   /// runtime, a dead worker process — rewinds the run to the latest
   /// snapshot in config.checkpoint_dir and continues, so the result
-  /// equals an uninterrupted run. FailedPrecondition when no snapshot
-  /// is restorable.
+  /// equals an uninterrupted run. With a worker crash scheduled in
+  /// config.fault, the initial state is committed as the iteration-0
+  /// snapshot first, so a crash before the first periodic save rewinds
+  /// to it. FailedPrecondition when no snapshot is restorable.
   Result<TrainReport> Train(size_t num_epochs) override;
   const eval::EmbeddingLookup& Embeddings() const override {
     return lookup_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -208,9 +209,22 @@ Result<CheckpointReader> CheckpointReader::Open(const std::string& path) {
   if (!in) {
     return Status::IoError("cannot open " + path);
   }
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
+  // One read sized from the file length, not a byte-at-a-time copy. A
+  // directory opens fine but reports an absurd length, so anything
+  // other than a regular file is refused before sizing the buffer.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IoError("not a regular file: " + path);
+  }
+  in.seekg(0, std::ios::end);
+  const std::streamoff length = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (length < 0 || !in) {
+    return Status::IoError("read failed for " + path);
+  }
+  std::string blob(static_cast<size_t>(length), '\0');
+  in.read(blob.data(), length);
+  if (in.bad() || in.gcount() != length) {
     return Status::IoError("read failed for " + path);
   }
   if (blob.size() < sizeof(kMagicV2) + sizeof(uint64_t) + sizeof(uint32_t)) {

@@ -68,6 +68,14 @@ TEST(CheckpointTest, MissingFileIsIoError) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+// A directory opens as a stream but has no byte length to size the
+// read from; it must come back as a typed error, not an exception.
+TEST(CheckpointTest, DirectoryIsIoError) {
+  auto reader = embedding::CheckpointReader::Open(::testing::TempDir());
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+}
+
 TEST(CheckpointTest, BadMagicIsCorruption) {
   const std::string path = TempPath("badmagic.ck");
   {

@@ -1,16 +1,19 @@
 // Crash-recovery tests (DESIGN.md §9): halt + resume bit-identity at
 // several thread counts, resume under active message faults, in-sim
-// worker crashes rewinding to a run bit-identical to an uninterrupted
-// one, PS-shard-restart determinism, manifest fallback on a corrupt
-// snapshot, and PBG epoch-granularity resume.
+// worker crashes (also before the first snapshot) rewinding to a run
+// bit-identical to an uninterrupted one, PS-shard-restart determinism,
+// manifest fallback on a corrupt snapshot, and PBG epoch-granularity
+// resume.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -366,6 +369,59 @@ TEST(RecoveryTest, WorkerCrashRewindAcrossEpochBoundary) {
 // A worker crash with no restorable snapshot fails the run the same
 // way in both runtimes, instead of continuing from a state no
 // uninterrupted run would reach.
+// A crash due at the first iteration boundary fires before any
+// periodic snapshot exists. The run rewinds to the committed initial
+// (iteration-0) state and ends bit-identical to an uninterrupted run;
+// its final snapshot equals that of a run whose crash fired after the
+// first periodic save (both record one delivered crash), for in-RAM
+// and int8-tiered storage alike.
+TEST(RecoveryTest, WorkerCrashBeforeFirstSnapshotRewindsToInitialState) {
+  const auto dataset = graph::GenerateDataset(SmallSpec()).value();
+  for (const bool tiered : {false, true}) {
+    SCOPED_TRACE(tiered ? "int8-tiered" : "ram");
+    const auto run = [&](const std::string& tag,
+                         std::vector<sim::ProcessFault> crashes) {
+      const std::string name =
+          std::string("rec-early-") + (tiered ? "tier-" : "ram-") + tag;
+      core::TrainerConfig config = RecoveryConfig();
+      config.checkpoint_dir = FreshDir(name);
+      config.checkpoint_every = 5;
+      if (tiered) {
+        config.storage.enabled = true;
+        config.storage.cold_dir = FreshDir(name + "-cold");
+        std::filesystem::create_directories(config.storage.cold_dir);
+        config.storage.dtype = embedding::ColdDtype::kInt8;
+      }
+      const size_t num_crashes = crashes.size();
+      config.fault.process_faults = std::move(crashes);
+      auto engine = core::MakeEngine(core::SystemKind::kHetKgDps, config,
+                                     dataset.graph, dataset.split.train)
+                        .value();
+      auto trained = engine->Train(2);
+      EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+      EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kCheckpointRestores),
+                num_crashes);
+      const std::string state = config.checkpoint_dir + "/final.bin";
+      EXPECT_TRUE(engine->SaveTrainState(state).ok());
+      std::ifstream in(state, std::ios::binary);
+      std::string state_bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      return std::make_tuple(EmbeddingBytes(engine->Embeddings()),
+                             std::move(trained).value(),
+                             std::move(state_bytes));
+    };
+    const auto [ref_bytes, reference, ref_state] = run("ref", {});
+    const auto [early_bytes, early, early_state] =
+        run("early", {WorkerCrash(1, 1)});
+    const auto [late_bytes, late, late_state] =
+        run("late", {WorkerCrash(1, 150)});
+    EXPECT_EQ(early_bytes, ref_bytes);
+    ExpectReportsMatch(early, reference);
+    EXPECT_EQ(late_bytes, ref_bytes);
+    EXPECT_TRUE(early_state == late_state);
+  }
+}
+
 TEST(RecoveryTest, WorkerCrashWithoutCheckpointsFails) {
   const auto dataset = graph::GenerateDataset(SmallSpec()).value();
 
@@ -380,6 +436,9 @@ TEST(RecoveryTest, WorkerCrashWithoutCheckpointsFails) {
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(report.status().ToString().find("no checkpoint is restorable"),
             std::string::npos)
+      << report.status().ToString();
+  // The sim runtime has no worker processes; the error must not say so.
+  EXPECT_EQ(report.status().ToString().find("process"), std::string::npos)
       << report.status().ToString();
   EXPECT_EQ(engine->RecoveryMetrics().Get(metric::kRecoveryWorkerCrashes),
             1u);
