@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
     base.dim = 64;
   }
   if (proc) {
-    // Refuse a setting the process runtime cannot run (e.g. --async)
-    // before the sim table trains, not after it.
-    const Status status = core::ValidateConfig(
-        core::SystemKind::kHetKgDps, base, core::RuntimeKind::kProc);
+    // Refuse a config the process-runtime table cannot run before the
+    // sim table trains, not after it.
+    const Status status =
+        core::ValidateConfig(core::SystemKind::kHetKgDps, base);
     if (!status.ok()) return core::ReportError(status, "--proc");
   }
 

@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   }
 
   // Pipeline overlap (DESIGN.md §12): retrain the HET-KG-D workload
-  // with the staged engine in --async mode, where stages run ahead
-  // under the bounded-staleness window and the smaller of compute/comm
-  // hides behind the larger. The Overlap column is exactly the hidden
-  // time; speedup = serial total / overlapped total.
+  // under the lag-N --async schedule, where stages ahead by up to the
+  // staleness bound hide the smaller of compute/comm behind the larger
+  // in modeled time. The Overlap column is exactly the hidden time;
+  // speedup = serial total / overlapped total.
   {
     const auto dataset = bench::GetDataset("fb15k", flags);
     core::TrainerConfig config = base_config;

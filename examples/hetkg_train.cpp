@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   // same engine; checkpoints stay bit-identical to --runtime=sim.
   flags.Define("runtime", "sim",
                "sim (in-process simulated workers) | proc (one real OS "
-               "process per worker; PS engines, no --async)");
+               "process per worker; PS engines)");
   flags.Define("workers", "0",
                "proc runtime: worker process count (overrides --machines "
                "when > 0)");

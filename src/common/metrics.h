@@ -191,20 +191,6 @@ inline constexpr char kTierColdReads[] = "tier.cold_reads";
 inline constexpr char kTierPromotions[] = "tier.promotions";
 inline constexpr char kTierBytesMapped[] = "tier.bytes_mapped";
 inline constexpr char kMemRssBytes[] = "mem.rss_bytes";
-// Async pipeline engine (DESIGN.md §12). Reported only in --async
-// runs: stall/depth counts depend on real thread scheduling, so the
-// deterministic mode — whose reports are bit-identity-checked — never
-// emits them.
-inline constexpr char kPipelineStalls[] = "pipeline.stall";
-inline constexpr char kPipelineStalenessWaits[] =
-    "pipeline.staleness_waits";
-inline constexpr char kPipelineQueueDepthSample[] =
-    "pipeline.queue_depth.sample_pull";
-inline constexpr char kPipelineQueueDepthCompute[] =
-    "pipeline.queue_depth.pull_compute";
-inline constexpr char kPipelineQueueDepthPush[] =
-    "pipeline.queue_depth.compute_push";
-inline constexpr char kPipelineMaxRowLag[] = "pipeline.max_row_lag";
 // Resolved score/optimizer kernel path (embedding/kernels.h):
 // 0 = scalar, 1 = portable vector, 2 = AVX2. Constant for a run; every
 // value produces bit-identical training output.

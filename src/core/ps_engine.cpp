@@ -228,20 +228,6 @@ Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
 
   obs_active_ = config_.obs.Enabled();
 
-  // Pipeline plumbing (DESIGN.md §12). Deterministic mode ticks the
-  // stages inline through capacity-1 queues (a rendezvous per
-  // iteration); --async threads them, with enough queue slack for the
-  // staleness window's worth of in-flight iterations.
-  async_mode_ = sync_.AsyncPipeline();
-  const size_t depth =
-      async_mode_
-          ? std::clamp<size_t>(
-                (sync_.PipelineStaleness() + 2) * workers_.size(), 2, 64)
-          : 1;
-  q_sample_pull_ = std::make_unique<BoundedQueue<StepTask*>>(depth);
-  q_pull_compute_ = std::make_unique<BoundedQueue<StepTask*>>(depth);
-  q_compute_push_ = std::make_unique<BoundedQueue<StepTask*>>(depth);
-
   // Checkpoint directory: create, and sweep temp files orphaned by a
   // crashed writer (they are never referenced by the manifest).
   if (!config_.checkpoint_dir.empty()) {
@@ -438,12 +424,10 @@ void PsTrainingEngine::RunPullStage(StepTask* task) {
   Worker* w = task->w;
   const size_t iter = task->iter;
   // Per-phase simulated time: sample this machine's modeled clock
-  // around each phase (deterministic mode only — the scheduling thread
-  // owns obs_metrics_; async stall profiles come from the pipeline.*
-  // counters instead). The deltas are pure functions of the recorded
+  // around each phase. The deltas are pure functions of the recorded
   // byte/flop counts, so the gauges they feed are deterministic at any
   // thread count.
-  const bool obs = obs_active_ && !async_mode_;
+  const bool obs = obs_active_;
   double phase_mark =
       obs ? cluster_.MachineTime(w->machine).total_seconds() : 0.0;
   auto account = [&](double* bucket) {
@@ -472,9 +456,9 @@ void PsTrainingEngine::RunPullStage(StepTask* task) {
 
   // Resolve every required row ONCE: the batch's keys are sorted and
   // mapped to dense task indices, so the score/backward hot loops index
-  // spans directly instead of paying a hash lookup per access. Every
-  // row — cached or pulled — lands in the task's private value buffer,
-  // so the compute stage reads no shared storage.
+  // spans directly instead of paying a hash lookup per access. Cached
+  // rows are read in place (compute follows this pull with no push in
+  // between); pulled rows land in the task's value buffer.
   task->keys = BatchKeys(task->batch);
   std::sort(task->keys.begin(), task->keys.end());  // Determinism.
   const size_t num_keys = task->keys.size();
@@ -498,16 +482,12 @@ void PsTrainingEngine::RunPullStage(StepTask* task) {
   uint64_t refreshed_rows = 0;
   for (size_t k = 0; k < num_keys; ++k) {
     const EmbKey key = task->keys[k];
-    const std::span<float> dest(
-        task->values.data() + task->grad_offsets[k],
-        task->grad_offsets[k + 1] - task->grad_offsets[k]);
-    task->row_spans[k] = dest;
     if (has_cache && w->cache->Contains(key)) {
       ++w->hits;
+      task->row_spans[k] = w->cache->Row(key);
       if (on_access_refresh) {
         // Fine-grained staleness: re-pull this row if its last refresh
-        // is older than P iterations. The refresh targets the cache's
-        // row; the private copy below picks up the refreshed bits.
+        // is older than P iterations, into the cache's row.
         auto [it, inserted] = w->last_refresh.try_emplace(key, iter);
         if (!inserted &&
             iter - it->second >= sync_.config().staleness_bound) {
@@ -519,6 +499,10 @@ void PsTrainingEngine::RunPullStage(StepTask* task) {
       }
     } else {
       ++w->misses;
+      const std::span<float> dest(
+          task->values.data() + task->grad_offsets[k],
+          task->grad_offsets[k + 1] - task->grad_offsets[k]);
+      task->row_spans[k] = dest;
       task->missing.push_back(key);
       task->pull_spans.push_back(dest);
     }
@@ -551,18 +535,6 @@ void PsTrainingEngine::RunPullStage(StepTask* task) {
                         pull.failed);
     }
   }
-  // Publish the cache's rows (post-refresh) into the task's private
-  // buffer. A float copy is bit-exact, so deterministic-mode results
-  // are identical to reading the cache in place; in async mode it keeps
-  // the compute stage from racing a concurrent push-stage update.
-  if (has_cache) {
-    for (size_t k = 0; k < num_keys; ++k) {
-      const EmbKey key = task->keys[k];
-      if (!w->cache->Contains(key)) continue;
-      const std::span<const float> row = w->cache->Row(key);
-      std::copy(row.begin(), row.end(), task->row_spans[k].begin());
-    }
-  }
   if (obs) {
     const double before = phase_mark;
     account(&phase_.pull);
@@ -576,7 +548,7 @@ void PsTrainingEngine::RunComputeStage(StepTask* task) {
   span.Arg("machine", static_cast<double>(task->w->machine));
   Worker* w = task->w;
   const MiniBatch& batch = task->batch;
-  const bool obs = obs_active_ && !async_mode_;
+  const bool obs = obs_active_;
   double phase_mark =
       obs ? cluster_.MachineTime(w->machine).total_seconds() : 0.0;
 
@@ -614,16 +586,10 @@ void PsTrainingEngine::RunComputeStage(StepTask* task) {
   const uint64_t flops = (batch.positives.size() + batch.negatives.size() +
                           stats.backward_calls) *
                          score_flops / 2;
-  if (async_mode_) {
-    // Only the sim accounting touches shared state on this stage.
-    std::lock_guard<std::mutex> lock(ps_mu_);
-    backend_->RecordCompute(w->machine, flops);
-  } else {
-    backend_->RecordCompute(w->machine, flops);
-    if (obs) {
-      const double now = cluster_.MachineTime(w->machine).total_seconds();
-      phase_.compute += now - phase_mark;
-    }
+  backend_->RecordCompute(w->machine, flops);
+  if (obs) {
+    const double now = cluster_.MachineTime(w->machine).total_seconds();
+    phase_.compute += now - phase_mark;
   }
   task->loss_sum = stats.loss_sum;
   task->pair_count = stats.pairs;
@@ -634,7 +600,7 @@ void PsTrainingEngine::RunPushStage(StepTask* task) {
   span.Arg("iter", static_cast<double>(task->iter));
   span.Arg("machine", static_cast<double>(task->w->machine));
   Worker* w = task->w;
-  const bool obs = obs_active_ && !async_mode_;
+  const bool obs = obs_active_;
   double phase_mark =
       obs ? cluster_.MachineTime(w->machine).total_seconds() : 0.0;
 
@@ -707,169 +673,39 @@ void PsTrainingEngine::RunPushStage(StepTask* task) {
                                   task->batch.negatives.size());
 }
 
-PsTrainingEngine::StepTask* PsTrainingEngine::AcquireTask() {
-  std::lock_guard<std::mutex> lock(task_mu_);
-  if (!free_tasks_.empty()) {
-    StepTask* task = free_tasks_.back();
-    free_tasks_.pop_back();
-    return task;
-  }
-  task_pool_.push_back(std::make_unique<StepTask>());
-  return task_pool_.back().get();
-}
-
-void PsTrainingEngine::ReleaseTask(StepTask* task) {
-  std::lock_guard<std::mutex> lock(task_mu_);
-  free_tasks_.push_back(task);
-}
-
 std::pair<double, uint64_t> PsTrainingEngine::Step(Worker* w, size_t iter) {
   obs::TraceSpan step_span("ps.step", "ps");
   step_span.Arg("iter", static_cast<double>(iter));
   step_span.Arg("machine", static_cast<double>(w->machine));
-  // Deterministic mode: one task flows through the real bounded queues,
-  // each stage ticked inline in pre-pipeline order — a rendezvous per
-  // iteration, byte-identical to the former monolithic Step().
-  StepTask* task = AcquireTask();
+  std::unique_ptr<StepTask> task;
+  if (spare_tasks_.empty()) {
+    task = std::make_unique<StepTask>();
+  } else {
+    task = std::move(spare_tasks_.back());
+    spare_tasks_.pop_back();
+  }
   task->Reset(w, iter);
-  RunSampleStage(task);
-  q_sample_pull_->Push(task);
-  task = *q_sample_pull_->Pop();
-  RunPullStage(task);
-  q_pull_compute_->Push(task);
-  task = *q_pull_compute_->Pop();
-  RunComputeStage(task);
-  q_compute_push_->Push(task);
-  task = *q_compute_push_->Pop();
-  RunPushStage(task);
+  RunSampleStage(task.get());
+  // Every pull misses exactly the pushes still parked in the ring.
+  const size_t lag = w->in_flight.size();
+  max_observed_lag_ = std::max(max_observed_lag_, lag);
+  if (pull_lag_hook_) pull_lag_hook_(w->machine, iter, lag);
+  RunPullStage(task.get());
+  RunComputeStage(task.get());
   const std::pair<double, uint64_t> result{task->loss_sum,
                                            task->pair_count};
-  ReleaseTask(task);
+  w->in_flight.push_back(std::move(task));
+  // Drain points are pure functions of the config, so a forked worker
+  // process drains exactly where the coordinator's sim twin would.
+  const bool drain =
+      (iter + 1) % iterations_per_epoch_ == 0 || CheckpointDue(iter + 1);
+  const size_t keep = drain ? 0 : sync_.PipelineStaleness();
+  while (w->in_flight.size() > keep) {
+    RunPushStage(w->in_flight.front().get());
+    spare_tasks_.push_back(std::move(w->in_flight.front()));
+    w->in_flight.pop_front();
+  }
   return result;
-}
-
-// -- Async stage threads (DESIGN.md §12) ------------------------------------
-
-bool PsTrainingEngine::SampleLoop() {
-  if (sample_next_iter_ >= segment_end_ ||
-      (sample_next_worker_ == 0 &&
-       stop_feeding_.load(std::memory_order_acquire))) {
-    q_sample_pull_->Close();
-    return false;
-  }
-  Worker* w = &workers_[sample_next_worker_];
-  StepTask* task = AcquireTask();
-  task->Reset(w, sample_next_iter_);
-  RunSampleStage(task);
-  if (++sample_next_worker_ == workers_.size()) {
-    sample_next_worker_ = 0;
-    ++sample_next_iter_;
-  }
-  q_sample_pull_->Push(task);
-  return true;
-}
-
-bool PsTrainingEngine::PullLoop() {
-  std::optional<StepTask*> t = q_sample_pull_->Pop();
-  if (!t.has_value()) {
-    q_pull_compute_->Close();
-    return false;
-  }
-  StepTask* task = *t;
-  // HET-style bounded staleness: iteration i may pull only once
-  // iteration i - N has fully pushed, so every row a batch reads lags
-  // the server by at most N iterations (plus the configured cache
-  // staleness P for cached rows).
-  clock_.WaitAdmissible(task->iter, sync_.PipelineStaleness());
-  const size_t completed = clock_.completed();
-  const size_t lag = task->iter > completed ? task->iter - completed : 0;
-  if (lag > max_observed_lag_) max_observed_lag_ = lag;
-  {
-    std::lock_guard<std::mutex> lock(ps_mu_);
-    RunPullStage(task);
-  }
-  q_pull_compute_->Push(task);
-  return true;
-}
-
-bool PsTrainingEngine::ComputeLoop() {
-  std::optional<StepTask*> t = q_pull_compute_->Pop();
-  if (!t.has_value()) {
-    q_compute_push_->Close();
-    return false;
-  }
-  RunComputeStage(*t);
-  q_compute_push_->Push(*t);
-  return true;
-}
-
-bool PsTrainingEngine::PushLoop() {
-  std::optional<StepTask*> t = q_compute_push_->Pop();
-  if (!t.has_value()) return false;
-  StepTask* task = *t;
-  {
-    std::lock_guard<std::mutex> lock(ps_mu_);
-    RunPushStage(task);
-    if (transport_.HasDueProcessFaults()) {
-      // Recovery needs a consistent barrier: tell the sample stage to
-      // stop feeding at the next iteration boundary; the driver injects
-      // the fault once the pipeline drains.
-      stop_feeding_.store(true, std::memory_order_release);
-    }
-  }
-  // This thread is the only accumulator while the pipeline runs; the
-  // driver reads after Join().
-  epoch_loss_sum_ += task->loss_sum;
-  epoch_pair_count_ += task->pair_count;
-  if (task->w->machine == workers_.size() - 1) {
-    clock_.MarkCompleted(task->iter);
-  }
-  ReleaseTask(task);
-  return true;
-}
-
-size_t PsTrainingEngine::RunAsyncSegment(size_t max_iters) {
-  const size_t start = global_iteration_;
-  segment_end_ = start + max_iters;
-  sample_next_iter_ = start;
-  sample_next_worker_ = 0;
-  stop_feeding_.store(false, std::memory_order_release);
-  clock_.Reset(start);
-  q_sample_pull_->Reopen();
-  q_pull_compute_->Reopen();
-  q_compute_push_->Reopen();
-
-  Pipeline pipeline;
-  pipeline.AddStage("sample", [this] { return SampleLoop(); });
-  pipeline.AddStage("pull", [this] { return PullLoop(); });
-  pipeline.AddStage("compute", [this] { return ComputeLoop(); });
-  pipeline.AddStage("push", [this] { return PushLoop(); });
-  pipeline.Start();
-  pipeline.Join();
-
-  staleness_waits_total_ += clock_.waits();
-  // Fold this segment's queue profile into the cross-segment totals
-  // before Reopen() zeroes the per-queue counters.
-  queue_stalls_total_ +=
-      q_sample_pull_->push_stalls() + q_sample_pull_->pop_stalls() +
-      q_pull_compute_->push_stalls() + q_pull_compute_->pop_stalls() +
-      q_compute_push_->push_stalls() + q_compute_push_->pop_stalls();
-  queue_high_water_sample_ =
-      std::max(queue_high_water_sample_, q_sample_pull_->high_water());
-  queue_high_water_compute_ =
-      std::max(queue_high_water_compute_, q_pull_compute_->high_water());
-  queue_high_water_push_ =
-      std::max(queue_high_water_push_, q_compute_push_->high_water());
-  // Reopen so the deterministic Step() path (which routes through the
-  // same queues) and the next segment find them usable.
-  q_sample_pull_->Reopen();
-  q_pull_compute_->Reopen();
-  q_compute_push_->Reopen();
-  // The sample stage only stops at iteration boundaries, and Join()
-  // means every emitted task was pushed — so exactly the iterations
-  // [start, sample_next_iter_) completed in full.
-  global_iteration_ = sample_next_iter_;
-  return sample_next_iter_ - start;
 }
 
 Status PsTrainingEngine::SyncAllWorkers() {
@@ -959,24 +795,6 @@ MetricRegistry PsTrainingEngine::CollectObsMetrics(double sim_seconds) const {
     m.SetGauge(metric::kPhaseComputeSeconds, phase_.compute);
     m.SetGauge(metric::kPhasePushSeconds, phase_.push);
     m.SetGauge(metric::kKernelDispatch, embedding::kernels::DispatchGauge());
-  }
-  // Pipeline stall/depth profile — async mode only. These depend on
-  // real thread scheduling, so the deterministic mode (whose reports
-  // are bit-identity-checked) never emits them.
-  if (async_mode_) {
-    // The per-queue counters reset on every segment Reopen(), so the
-    // profile comes from the cross-segment accumulators RunAsyncSegment
-    // folds in at each drain barrier.
-    m.Increment(metric::kPipelineStalls, queue_stalls_total_);
-    m.Increment(metric::kPipelineStalenessWaits, staleness_waits_total_);
-    m.SetGauge(metric::kPipelineQueueDepthSample,
-               static_cast<double>(queue_high_water_sample_));
-    m.SetGauge(metric::kPipelineQueueDepthCompute,
-               static_cast<double>(queue_high_water_compute_));
-    m.SetGauge(metric::kPipelineQueueDepthPush,
-               static_cast<double>(queue_high_water_push_));
-    m.SetGauge(metric::kPipelineMaxRowLag,
-               static_cast<double>(max_observed_lag_));
   }
   // Tiered storage (DESIGN.md §16): cold-tier traffic + memory gauges.
   // Counters live in the table/engine (never in the serialized server
@@ -1103,9 +921,9 @@ Status PsTrainingEngine::TrainInner(size_t num_epochs, TrainReport* out) {
     }
 
     Stopwatch wall;
-    // Trace counter tracks + periodic metric samples, shared by both
-    // engine modes. `boundary` is the epoch-relative iteration just
-    // finished; in async mode these run only at drain barriers.
+    // Trace counter tracks + periodic metric samples. `boundary` is the
+    // epoch-relative iteration just finished. Neither drains the lag-N
+    // ring: observing a run must not change it.
     auto publish_trace_counters = [&] {
       if (!obs::Tracer::Enabled()) return;
       obs::Tracer::PublishSimSeconds(cumulative_seconds_ +
@@ -1153,77 +971,36 @@ Status PsTrainingEngine::TrainInner(size_t num_epochs, TrainReport* out) {
       return Status::OK();
     };
 
-    if (!async_mode_) {
-      for (size_t i = iter_begin; i < iterations_per_epoch_; ++i) {
-        HETKG_RETURN_IF_ERROR(MaybeInjectProcessFaults());
-        for (Worker& w : workers_) {
-          if (step_driver_ != nullptr) {
-            // Process runtime: the step executes in the worker's own
-            // process; its PS/cluster RPCs land here in sim order.
-            HETKG_ASSIGN_OR_RETURN(
-                const auto result,
-                step_driver_->DriveStep(w.machine, global_iteration_));
-            epoch_loss_sum_ += result.first;
-            epoch_pair_count_ += result.second;
-          } else {
-            const auto [loss, pairs] = Step(&w, global_iteration_);
-            epoch_loss_sum_ += loss;
-            epoch_pair_count_ += pairs;
-          }
-        }
-        ++global_iteration_;
-        publish_trace_counters();
-        maybe_window_sample(i + 1);
-        if (ckpt_manager_ != nullptr && config_.checkpoint_every > 0 &&
-            global_iteration_ % config_.checkpoint_every == 0) {
-          HETKG_RETURN_IF_ERROR(WritePeriodicCheckpoint());
-        }
-        if (config_.halt_after_iterations > 0 &&
-            global_iteration_ >= config_.halt_after_iterations) {
-          HETKG_RETURN_IF_ERROR(SyncAllWorkers());
-          if (step_driver_ != nullptr) {
-            HETKG_RETURN_IF_ERROR(step_driver_->FlushObs());
-          }
-          return halt();
+    for (size_t i = iter_begin; i < iterations_per_epoch_; ++i) {
+      HETKG_RETURN_IF_ERROR(MaybeInjectProcessFaults());
+      for (Worker& w : workers_) {
+        if (step_driver_ != nullptr) {
+          // Process runtime: the step executes in the worker's own
+          // process; its PS/cluster RPCs land here in sim order.
+          HETKG_ASSIGN_OR_RETURN(
+              const auto result,
+              step_driver_->DriveStep(w.machine, global_iteration_));
+          epoch_loss_sum_ += result.first;
+          epoch_pair_count_ += result.second;
+        } else {
+          const auto [loss, pairs] = Step(&w, global_iteration_);
+          epoch_loss_sum_ += loss;
+          epoch_pair_count_ += pairs;
         }
       }
-    } else {
-      // Async mode: run the epoch as drained-pipeline segments. Every
-      // iteration-boundary obligation — fault injection, checkpoints,
-      // the halt hook, metric windows — becomes a segment barrier, so
-      // each one still observes fully consistent engine state.
-      size_t i = iter_begin;
-      while (i < iterations_per_epoch_) {
-        HETKG_RETURN_IF_ERROR(MaybeInjectProcessFaults());
-        if (config_.halt_after_iterations > 0 &&
-            global_iteration_ >= config_.halt_after_iterations) {
-          return halt();
+      ++global_iteration_;
+      publish_trace_counters();
+      maybe_window_sample(i + 1);
+      if (CheckpointDue(global_iteration_)) {
+        HETKG_RETURN_IF_ERROR(WritePeriodicCheckpoint());
+      }
+      if (config_.halt_after_iterations > 0 &&
+          global_iteration_ >= config_.halt_after_iterations) {
+        HETKG_RETURN_IF_ERROR(SyncAllWorkers());
+        if (step_driver_ != nullptr) {
+          HETKG_RETURN_IF_ERROR(step_driver_->FlushObs());
         }
-        size_t seg = iterations_per_epoch_ - i;
-        if (ckpt_manager_ != nullptr && config_.checkpoint_every > 0) {
-          seg = std::min(seg, config_.checkpoint_every -
-                                  global_iteration_ %
-                                      config_.checkpoint_every);
-        }
-        if (config_.halt_after_iterations > 0) {
-          seg = std::min(seg, config_.halt_after_iterations -
-                                  global_iteration_);
-        }
-        if (metrics_on && config_.obs.metrics_window > 0) {
-          seg = std::min(seg, config_.obs.metrics_window -
-                                  i % config_.obs.metrics_window);
-        }
-        i += RunAsyncSegment(seg);
-        publish_trace_counters();
-        maybe_window_sample(i);
-        if (ckpt_manager_ != nullptr && config_.checkpoint_every > 0 &&
-            global_iteration_ % config_.checkpoint_every == 0) {
-          HETKG_RETURN_IF_ERROR(WritePeriodicCheckpoint());
-        }
-        if (config_.halt_after_iterations > 0 &&
-            global_iteration_ >= config_.halt_after_iterations) {
-          return halt();
-        }
+        return halt();
       }
     }
     // Epoch boundary: write-back gradients may not linger (validation
@@ -1491,6 +1268,11 @@ bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
   w->last_refresh = std::move(last_refresh);
   w->pending_grads = std::move(pending_grads);
   w->batch_queue = std::move(batch_queue);
+  // A rewind discards in-flight pushes with the rest of the state.
+  for (std::unique_ptr<StepTask>& task : w->in_flight) {
+    spare_tasks_.push_back(std::move(task));
+  }
+  w->in_flight.clear();
   return true;
 }
 

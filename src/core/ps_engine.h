@@ -1,10 +1,9 @@
 #ifndef HETKG_CORE_PS_ENGINE_H_
 #define HETKG_CORE_PS_ENGINE_H_
 
-#include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "core/hot_embedding_table.h"
 #include "core/hot_filter.h"
 #include "core/parallel_batch.h"
-#include "core/pipeline.h"
 #include "core/prefetcher.h"
 #include "core/ps_backend.h"
 #include "core/sync_controller.h"
@@ -104,11 +102,16 @@ class PsTrainingEngine : public TrainingEngine {
   /// benches/tests that inspect retry and degradation counters).
   const sim::Transport& transport() const { return transport_; }
 
-  /// Async pipeline introspection (0 in deterministic mode). The max
-  /// observed lag is the largest (pull iteration - completed iteration)
-  /// any pull stage ran at — the staleness-bound property tests assert
+  /// Lag-N schedule introspection (DESIGN.md §12). A pull's lag is the
+  /// number of its worker's earlier iterations whose pushes have not
+  /// run yet: min(N, iterations since the last drain point). The max is
+  /// over every pull this engine ran; the staleness-bound tests assert
   /// it never exceeds --max_pipeline_staleness.
   size_t MaxObservedPipelineLag() const { return max_observed_lag_; }
+
+  /// Test hook called at every pull with (machine, iteration, lag).
+  using PullLagHook = std::function<void(uint32_t, size_t, size_t)>;
+  void SetPullLagHook(PullLagHook hook) { pull_lag_hook_ = std::move(hook); }
 
   /// Crash recovery (DESIGN.md §9): full-training-state snapshots.
   Status SaveTrainState(const std::string& path) const override;
@@ -170,6 +173,7 @@ class PsTrainingEngine : public TrainingEngine {
  private:
   friend class ::hetkg::net::ProcCoordinator;
   friend class ::hetkg::net::ProcWorker;
+  struct StepTask;
   struct Worker {
     uint32_t machine = 0;
     std::vector<Triple> triples;
@@ -185,15 +189,16 @@ class PsTrainingEngine : public TrainingEngine {
     /// Write-back mode: locally accumulated, not-yet-pushed gradients
     /// of cached rows.
     std::unordered_map<EmbKey, std::vector<float>> pending_grads;
+    /// Lag-N ring (DESIGN.md §12): computed iterations whose push is
+    /// still due, oldest first. Empty at every drain point, so it is
+    /// never serialized; a restore clears it.
+    std::deque<std::unique_ptr<StepTask>> in_flight;
   };
 
-  /// One iteration of one worker flowing through the pipeline
-  /// (DESIGN.md §12). The task owns every buffer its stages touch, so
-  /// in async mode tasks of different iterations can be in flight on
-  /// different stage threads without sharing scratch. Cached rows are
-  /// COPIED into `values` by the pull stage (a bit-exact float copy),
-  /// so the compute stage never reads cache storage that a concurrent
-  /// push stage may be updating.
+  /// One iteration of one worker flowing through the stages (DESIGN.md
+  /// §12). The task owns every buffer its stages touch, so it can wait
+  /// in its worker's lag-N ring, gradients intact, until its push runs
+  /// N iterations later.
   struct StepTask {
     Worker* w = nullptr;
     size_t iter = 0;
@@ -253,19 +258,19 @@ class PsTrainingEngine : public TrainingEngine {
   /// Prefetcher-side half of a hot-set (re)build: counts (CPS: whole
   /// epoch) or counts-and-queues (DPS: next D batches) accesses into
   /// `freq`, returning the counted access total. Touches only the
-  /// worker's sampling pipeline — safe on the sample stage.
+  /// worker's sampling pipeline; runs in the sample stage.
   uint64_t CollectHotSetPlan(Worker* w, bool whole_epoch,
                              FrequencyMap* freq);
 
   /// PS-side half: filters `freq`, assigns the hot set, re-anchors
-  /// staleness clocks at `iter`, and pulls newly admitted rows. Runs on
+  /// staleness clocks at `iter`, and pulls newly admitted rows. Runs in
   /// the pull stage.
   void ApplyHotSet(Worker* w, size_t iter, const FrequencyMap& freq,
                    uint64_t accesses);
 
   /// Ensures the worker has a mini-batch ready. Returns the prefetch
   /// access count to charge (0 when no refill happened); the caller
-  /// records it on the pull stage so sim accounting stays ordered with
+  /// records it in the pull stage so sim accounting stays ordered with
   /// the iteration's other cluster traffic.
   uint64_t FillBatchQueue(Worker* w);
 
@@ -282,14 +287,12 @@ class PsTrainingEngine : public TrainingEngine {
                          std::span<const std::span<float>> spans,
                          std::span<const uint32_t> failed);
 
-  // -- Pipeline stages (DESIGN.md §12) ----------------------------------
-  // Each stage owns a disjoint slice of engine state: sample touches
-  // only the worker's sampling pipeline (prefetcher, negative sampler,
-  // batch queue); pull and push touch the shared PS/cluster/transport
-  // state (under ps_mu_ in async mode); compute touches only the
-  // task-private buffers. In deterministic mode the scheduling thread
-  // ticks all four inline, in pre-pipeline order, so results are
-  // bit-identical to the former monolithic Step().
+  // -- Stages (DESIGN.md §12) --------------------------------------------
+  // Sample touches only the worker's sampling pipeline (prefetcher,
+  // negative sampler, batch queue); pull and push touch the shared
+  // PS/cluster/transport state through backend_; compute touches only
+  // the task-private buffers. Step() runs them in that order on the
+  // calling thread.
 
   /// Sample/prefetch stage: plans any hot-set rebuild, refills the
   /// batch queue, and pops the iteration's mini-batch into the task.
@@ -297,7 +300,7 @@ class PsTrainingEngine : public TrainingEngine {
 
   /// Cache-refresh/pull stage: applies the rebuild plan, resolves the
   /// batch's rows (cache hits vs PS pulls, staleness-driven refreshes),
-  /// and leaves every row's bits in the task's private buffer.
+  /// and points every key's row span at its bits.
   void RunPullStage(StepTask* task);
 
   /// Batch compute stage: forward + backward over all pairs via the
@@ -308,37 +311,30 @@ class PsTrainingEngine : public TrainingEngine {
   /// and the iteration's PS push.
   void RunPushStage(StepTask* task);
 
-  // Async stage-thread loop bodies (return false to stop; a closed
-  // upstream queue cascades shutdown to the next stage).
-  bool SampleLoop();
-  bool PullLoop();
-  bool ComputeLoop();
-  bool PushLoop();
-
-  /// Runs up to `max_iters` full iterations (all workers each) through
-  /// the threaded pipeline, stopping early at an iteration boundary
-  /// when a process fault comes due. Returns iterations completed and
-  /// advances global_iteration_; on return the pipeline is drained, so
-  /// engine state is at a consistent barrier.
-  size_t RunAsyncSegment(size_t max_iters);
-
-  StepTask* AcquireTask();
-  void ReleaseTask(StepTask* task);
+  /// True when a periodic snapshot is due once `done` global iterations
+  /// have completed.
+  bool CheckpointDue(size_t done) const {
+    return ckpt_manager_ != nullptr && config_.checkpoint_every > 0 &&
+           done % config_.checkpoint_every == 0;
+  }
 
   /// Critical path of the current epoch's traffic: the plain serial
-  /// path in deterministic mode, the overlap-adjusted path in async
-  /// mode (stages ahead by up to the pipeline staleness hide the
-  /// smaller of compute/comm behind the larger).
+  /// path by default, the overlap-adjusted path under --async (stages
+  /// ahead by up to the pipeline staleness hide the smaller of
+  /// compute/comm behind the larger).
   sim::TimeBreakdown EpochCriticalPath() const {
-    return async_mode_
+    return sync_.AsyncPipeline()
                ? cluster_.OverlappedCriticalPath(sync_.PipelineStaleness())
                : cluster_.CriticalPath();
   }
 
-  /// One training iteration for one worker at global iteration `iter`:
-  /// routes one task through the staged pipeline inline (deterministic
-  /// mode).
-  /// Returns the summed pair loss and pair count.
+  /// One training iteration for one worker at global iteration `iter`
+  /// under the lag-N schedule (N = SyncController::PipelineStaleness(),
+  /// 0 without --async): sample, pull and compute iteration `iter`,
+  /// park the task in the worker's ring, then push the worker's
+  /// iteration `iter - N` if one is due. The ring drains completely
+  /// when `iter + 1` ends an epoch or is a checkpoint multiple. Returns
+  /// iteration `iter`'s summed pair loss and pair count.
   std::pair<double, uint64_t> Step(Worker* w, size_t iter);
 
   /// The body of Train(): trains up to `num_epochs`, appending to
@@ -473,46 +469,11 @@ class PsTrainingEngine : public TrainingEngine {
   // Hot-set construction scratch (pull stage only).
   std::vector<std::span<float>> rebuild_pull_spans_;
 
-  // -- Pipeline engine (DESIGN.md §12) ----------------------------------
-  // Both modes route every iteration through these bounded queues; the
-  // deterministic mode ticks the stages inline on the scheduling thread
-  // (each push is immediately popped — a once-per-iteration
-  // rendezvous), while --async runs one thread per stage and lets them
-  // advance independently under backpressure.
-  bool async_mode_ = false;
-  std::unique_ptr<BoundedQueue<StepTask*>> q_sample_pull_;
-  std::unique_ptr<BoundedQueue<StepTask*>> q_pull_compute_;
-  std::unique_ptr<BoundedQueue<StepTask*>> q_compute_push_;
-  /// HET-style bounded-staleness admission: the pull stage of iteration
-  /// i waits until i <= completed + N (async mode only).
-  BoundedStalenessClock clock_;
-  /// Async mode: coarse lock serializing the shared PS-side state
-  /// (server_, cluster_, transport_, caches, write-back maps) between
-  /// the pull and push stages. Compute holds it only for its sim-flop
-  /// accounting, so batch math overlaps communication.
-  std::mutex ps_mu_;
-  /// Task recycling (any stage thread).
-  std::mutex task_mu_;
-  std::vector<std::unique_ptr<StepTask>> task_pool_;
-  std::vector<StepTask*> free_tasks_;
-  // Per-segment sample-stage cursor (sample thread only while running).
-  size_t segment_end_ = 0;
-  size_t sample_next_iter_ = 0;
-  uint32_t sample_next_worker_ = 0;
-  /// Set by the push stage when a process fault comes due; the sample
-  /// stage stops feeding at the next iteration boundary so the drained
-  /// pipeline leaves a consistent barrier for recovery.
-  std::atomic<bool> stop_feeding_{false};
-  // Async observability, read by the driver after Join().
-  size_t max_observed_lag_ = 0;        // Pull thread only.
-  uint64_t staleness_waits_total_ = 0;  // Accumulated across segments.
-  // Queue stall/depth profile accumulated across segments: Reopen()
-  // zeroes the per-queue counters, so the driver folds each drained
-  // segment's numbers in here before reopening.
-  uint64_t queue_stalls_total_ = 0;
-  size_t queue_high_water_sample_ = 0;
-  size_t queue_high_water_compute_ = 0;
-  size_t queue_high_water_push_ = 0;
+  // Lag-N schedule (DESIGN.md §12): task buffers recycled across
+  // iterations and workers, and the pull-lag observations.
+  std::vector<std::unique_ptr<StepTask>> spare_tasks_;
+  size_t max_observed_lag_ = 0;
+  PullLagHook pull_lag_hook_;
 };
 
 }  // namespace hetkg::core

@@ -22,8 +22,7 @@ Status SaveEngineCheckpoint(const TrainingEngine& engine,
   return embedding::SaveCheckpoint(path, entities, relations);
 }
 
-Status ValidateConfig(SystemKind system, const TrainerConfig& config,
-                      RuntimeKind runtime) {
+Status ValidateConfig(SystemKind system, const TrainerConfig& config) {
   if (config.num_machines == 0) {
     return Status::InvalidArgument("need at least one machine");
   }
@@ -52,20 +51,13 @@ Status ValidateConfig(SystemKind system, const TrainerConfig& config,
           "row-granular tiering");
     }
   }
-  if (runtime == RuntimeKind::kProc && config.sync.async_pipeline) {
-    // The coordinator services worker RPCs strictly in sim order, which
-    // the async pipeline's overlapping stages do not have.
-    return Status::InvalidArgument(
-        "--runtime=proc requires the deterministic scheduler (drop "
-        "--async)");
-  }
   return Status::OK();
 }
 
 Result<std::unique_ptr<TrainingEngine>> MakeEngine(
     SystemKind system, const TrainerConfig& config,
     const graph::KnowledgeGraph& graph, const std::vector<Triple>& train) {
-  HETKG_RETURN_IF_ERROR(ValidateConfig(system, config, RuntimeKind::kSim));
+  HETKG_RETURN_IF_ERROR(ValidateConfig(system, config));
   // Kernel dispatch for the score/optimizer hot loops. Every path is
   // bit-identical (DESIGN.md §10), so this only affects speed.
   embedding::kernels::SetKernelMode(

@@ -232,23 +232,18 @@ class CheckpointLookup : public eval::EmbeddingLookup {
   const embedding::Checkpoint* checkpoint_;
 };
 
-/// Where an engine's workers run: in-process simulated workers, or one
-/// real OS process per worker (net::ProcCoordinator, DESIGN.md §13).
-enum class RuntimeKind { kSim, kProc };
-
 /// The one check of which TrainerConfig values may be combined, for
-/// `system` under `runtime`: at least one machine, a positive batch, a
-/// known kernel mode, process faults that target existing machines;
-/// PBG needs pbg_partitions >= num_machines and in-RAM storage; the
-/// process runtime runs without the async pipeline. Every violation is
-/// InvalidArgument. MakeEngine checks the sim rules and the process
-/// runtime's launchers check again under kProc.
-Status ValidateConfig(SystemKind system, const TrainerConfig& config,
-                      RuntimeKind runtime);
+/// `system`: at least one machine, a positive batch, a known kernel
+/// mode, process faults that target existing machines; PBG needs
+/// pbg_partitions >= num_machines and in-RAM storage. Every violation
+/// is InvalidArgument. The rules hold in both runtimes: MakeEngine
+/// checks them, and the process runtime's launchers check again for
+/// engines built without it.
+Status ValidateConfig(SystemKind system, const TrainerConfig& config);
 
 /// Builds the engine for `system`, wiring the sync strategy implied by
 /// the system kind (CPS/DPS/no-cache) into `config.sync.strategy`.
-/// Rejects configs ValidateConfig(system, config, kSim) rejects.
+/// Rejects configs ValidateConfig(system, config) rejects.
 /// `graph` supplies entity/relation counts and the partitioning
 /// structure; `train` is the triple list to train on. Both must outlive
 /// the engine.

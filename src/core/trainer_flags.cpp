@@ -69,16 +69,16 @@ void DefineTrainerFlags(FlagParser* flags, const TrainerConfig& defaults) {
                 "staleness bound P (iterations)");
   flags->Define("dps_window", FlagDefault(defaults.sync.dps_window),
                 "DPS prefetch window D (iterations)");
-  // Async pipeline engine (DESIGN.md §12). Off by default: the
-  // deterministic mode ticks the stages in lockstep.
+  // Lag-N schedule (DESIGN.md §12). Off by default: every push runs
+  // in its own iteration (lag 0).
   flags->Define("async", FlagDefault(defaults.sync.async_pipeline),
-                "run the PS engines' sample/pull/compute/push stages on "
-                "their own threads with bounded-staleness overlap "
-                "(results no longer bit-reproducible run to run)");
+                "PS engines: push each iteration's gradients N iterations "
+                "late (the staleness bound's worst case) and model the "
+                "stage overlap in simulated time (bit-reproducible)");
   flags->Define("max_pipeline_staleness",
                 FlagDefault(defaults.sync.pipeline_staleness),
-                "async mode: iterations the pull stage may run ahead of "
-                "the last fully pushed iteration (0 = rendezvous)");
+                "async mode: N, the iterations of pushes a pull may miss "
+                "(0 = none)");
   flags->Define("threads", FlagDefault(defaults.num_threads),
                 "compute threads for the intra-batch forward/backward "
                 "fan-out (bit-identical results at any value)");
@@ -143,8 +143,8 @@ void DefineTrainerFlags(FlagParser* flags, const TrainerConfig& defaults) {
   // Two-tier embedding storage (DESIGN.md §16).
   flags->Define("storage", defaults.storage.enabled ? "tiered" : "ram",
                 "embedding table backing: ram (all rows resident) | "
-                "tiered (mmap-backed cold tier; PS engines + sim runtime "
-                "only)");
+                "tiered (mmap-backed cold tier; PS engines, either "
+                "runtime)");
   flags->Define("cold_dir", defaults.storage.cold_dir,
                 "directory for the tiered cold-tier slab files (required "
                 "with --storage=tiered)");

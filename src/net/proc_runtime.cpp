@@ -31,12 +31,11 @@ constexpr int kShutdownGraceMs = 5'000;
 uint8_t TypeByte(MsgType t) { return static_cast<uint8_t>(t); }
 
 /// What both launch modes check before starting a fleet: the engine's
-/// config under the process runtime's rules, and `options` against
-/// itself.
+/// config, and `options` against itself.
 Status ValidateLaunch(const core::PsTrainingEngine& engine,
                       const ProcOptions& options) {
-  HETKG_RETURN_IF_ERROR(core::ValidateConfig(
-      engine.system(), engine.config(), core::RuntimeKind::kProc));
+  HETKG_RETURN_IF_ERROR(
+      core::ValidateConfig(engine.system(), engine.config()));
   if (options.watchdog_ms > 0 && options.heartbeat_ms <= 0) {
     return Status::InvalidArgument(
         "--proc_watchdog_ms needs --proc_heartbeat_ms > 0 (a "

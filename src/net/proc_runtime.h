@@ -198,8 +198,8 @@ class ProcCoordinator final : public core::PsTrainingEngine::StepDriver {
   /// children connect back to an ephemeral loopback listener). On
   /// return the engine's step driver is installed. InvalidArgument,
   /// before anything is forked, when core::ValidateConfig rejects the
-  /// engine's config under RuntimeKind::kProc or `options` contradicts
-  /// itself (watchdog without heartbeats, stops without watchdog).
+  /// engine's config or `options` contradicts itself (watchdog without
+  /// heartbeats, stops without watchdog).
   static Result<std::unique_ptr<ProcCoordinator>> ForkWorkers(
       core::PsTrainingEngine* engine, const ProcOptions& options);
 

@@ -1,10 +1,9 @@
 // Feature-composition matrix (DESIGN.md §13, §16): every combination of
 // system x storage x runtime x --async x scheduled worker crash x
 // observability either trains one epoch or is refused up front, with
-// InvalidArgument from MakeEngine or ProcCoordinator::ForkWorkers. Two
-// pairs are real limits: PBG x tiered storage and the process runtime
-// x --async. PBG x the process runtime never reaches a check, because
-// ForkWorkers takes a PsTrainingEngine*.
+// InvalidArgument from MakeEngine or ProcCoordinator::ForkWorkers. One
+// pair is a real limit: PBG x tiered storage. PBG x the process runtime
+// never reaches a check, because ForkWorkers takes a PsTrainingEngine*.
 
 #include <unistd.h>
 
@@ -144,8 +143,7 @@ TEST_F(ConfigMatrixTest, EveryCombinationTrainsOrIsRejectedUpFront) {
                 if (fleet.ok()) coordinator = std::move(fleet).value();
               }
               const bool want_rejected =
-                  (system == SystemKind::kPbg && storage != Storage::kRam) ||
-                  (proc && async);
+                  system == SystemKind::kPbg && storage != Storage::kRam;
               if (want_rejected) {
                 EXPECT_EQ(setup.code(), StatusCode::kInvalidArgument)
                     << setup.ToString();
@@ -184,12 +182,11 @@ TEST_F(ConfigMatrixTest, EveryCombinationTrainsOrIsRejectedUpFront) {
     }
   }
   EXPECT_EQ(rows, 192u);
-  // PBG x tiered (2 storages x 16), then proc x async on the three PS
-  // systems (3 x 3 storages x 4); PBG x proc outside those (8) never
+  // PBG x tiered (2 storages x 16); PBG x proc outside those (8) never
   // reaches a check.
-  EXPECT_EQ(rejected, 32u + 36u);
+  EXPECT_EQ(rejected, 32u);
   EXPECT_EQ(type_refused, 8u);
-  EXPECT_EQ(trained, 192u - 68u - 8u);
+  EXPECT_EQ(trained, 192u - 32u - 8u);
   std::filesystem::remove_all(root);
 }
 

@@ -63,11 +63,11 @@ TEST(MakeEngineTest, RejectsInvalidConfigs) {
 }
 
 // Every cross-feature rule lives in ValidateConfig; each violation is
-// InvalidArgument, and the process runtime adds exactly one rule.
+// InvalidArgument, and the same rules hold in both runtimes.
 TEST(ValidateConfigTest, EachRuleRejectsWithInvalidArgument) {
   const auto rejects = [](SystemKind system, const TrainerConfig& config,
-                          RuntimeKind runtime, const std::string& words) {
-    const Status status = ValidateConfig(system, config, runtime);
+                          const std::string& words) {
+    const Status status = ValidateConfig(system, config);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();
     EXPECT_NE(status.message().find(words), std::string::npos)
@@ -76,40 +76,36 @@ TEST(ValidateConfigTest, EachRuleRejectsWithInvalidArgument) {
   for (const SystemKind system : {SystemKind::kPbg, SystemKind::kDglKe,
                                   SystemKind::kHetKgCps,
                                   SystemKind::kHetKgDps}) {
-    EXPECT_TRUE(ValidateConfig(system, BaseConfig(), RuntimeKind::kSim).ok());
+    EXPECT_TRUE(ValidateConfig(system, BaseConfig()).ok());
     TrainerConfig config = BaseConfig();
     config.num_machines = 0;
-    rejects(system, config, RuntimeKind::kSim, "at least one machine");
+    rejects(system, config, "at least one machine");
     config = BaseConfig();
     config.batch_size = 0;
-    rejects(system, config, RuntimeKind::kSim, "batch_size");
+    rejects(system, config, "batch_size");
     config = BaseConfig();
     config.kernel = "simd";
-    rejects(system, config, RuntimeKind::kSim, "kernel");
+    rejects(system, config, "kernel");
     config = BaseConfig();
     config.fault.process_faults.push_back(
         {sim::ProcessFaultKind::kPsShardRestart, 4, 10});
-    rejects(system, config, RuntimeKind::kSim, "out of range");
+    rejects(system, config, "out of range");
     config.fault.process_faults.back().machine = 3;
-    EXPECT_TRUE(ValidateConfig(system, config, RuntimeKind::kSim).ok());
+    EXPECT_TRUE(ValidateConfig(system, config).ok());
   }
   TrainerConfig config = BaseConfig();
   config.pbg_partitions = 2;
-  rejects(SystemKind::kPbg, config, RuntimeKind::kSim, "partitions");
-  EXPECT_TRUE(
-      ValidateConfig(SystemKind::kDglKe, config, RuntimeKind::kSim).ok());
+  rejects(SystemKind::kPbg, config, "partitions");
+  EXPECT_TRUE(ValidateConfig(SystemKind::kDglKe, config).ok());
   config = BaseConfig();
   config.storage.enabled = true;
-  rejects(SystemKind::kPbg, config, RuntimeKind::kSim,
-          "requires a parameter-server engine");
-  EXPECT_TRUE(
-      ValidateConfig(SystemKind::kHetKgDps, config, RuntimeKind::kProc).ok());
+  rejects(SystemKind::kPbg, config, "requires a parameter-server engine");
+  EXPECT_TRUE(ValidateConfig(SystemKind::kHetKgDps, config).ok());
+  // The lag-N schedule is deterministic, so --async composes with the
+  // process runtime too.
   config = BaseConfig();
   config.sync.async_pipeline = true;
-  EXPECT_TRUE(
-      ValidateConfig(SystemKind::kHetKgDps, config, RuntimeKind::kSim).ok());
-  rejects(SystemKind::kHetKgDps, config, RuntimeKind::kProc,
-          "deterministic scheduler");
+  EXPECT_TRUE(ValidateConfig(SystemKind::kHetKgDps, config).ok());
 }
 
 TEST(MakeEngineTest, SystemNamesRoundTrip) {

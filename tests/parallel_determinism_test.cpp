@@ -126,7 +126,7 @@ struct RunResult {
 RunResult TrainOnce(SystemKind system, const graph::SyntheticDataset& dataset,
                     size_t num_threads,
                     const sim::FaultConfig& fault = {},
-                    size_t num_epochs = 2) {
+                    size_t num_epochs = 2, bool async = false) {
   TrainerConfig config;
   config.dim = 16;
   config.batch_size = 32;
@@ -139,6 +139,8 @@ RunResult TrainOnce(SystemKind system, const graph::SyntheticDataset& dataset,
   config.seed = 5;
   config.num_threads = num_threads;
   config.fault = fault;
+  config.sync.async_pipeline = async;
+  config.sync.pipeline_staleness = 2;
   auto engine =
       core::MakeEngine(system, config, dataset.graph, dataset.split.train)
           .value();
@@ -191,14 +193,25 @@ TEST_P(ParallelDeterminismTest, BitIdenticalAcrossThreadCounts) {
           << " threads";
     }
   }
+
+  // The lag-N schedule (--async) is one more input: a pure function of
+  // seed and config, so just as thread-count independent.
+  if (GetParam() == SystemKind::kPbg) return;
+  const RunResult async_serial = TrainOnce(GetParam(), dataset, 1, {}, 2, true);
+  const RunResult async_parallel =
+      TrainOnce(GetParam(), dataset, 4, {}, 2, true);
+  EXPECT_NE(async_serial.embeddings, serial.embeddings);
+  EXPECT_EQ(async_parallel.losses, async_serial.losses);
+  EXPECT_EQ(async_parallel.valid_mrrs, async_serial.valid_mrrs);
+  EXPECT_EQ(async_parallel.metrics, async_serial.metrics);
+  EXPECT_EQ(async_parallel.embeddings, async_serial.embeddings);
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint files written by the staged (pipelined) sync engine must
-// be byte-identical at any --threads value: the pipeline stages
-// rendezvous once per iteration in deterministic mode, so every
-// snapshot captures exactly the same training state regardless of how
-// the intra-batch work was scheduled.
+// Checkpoint files must be byte-identical at any --threads value, with
+// or without --async: the stages run in a fixed lag-N order on one
+// thread, so every snapshot captures exactly the same training state
+// regardless of how the intra-batch work was scheduled.
 // ---------------------------------------------------------------------
 
 std::map<std::string, std::string> CheckpointDirBytes(
@@ -216,9 +229,10 @@ std::map<std::string, std::string> CheckpointDirBytes(
 TEST(ParallelDeterminismCheckpointTest, FilesBitIdenticalAcrossThreads) {
   const auto dataset = TinyDataset();
 
-  const auto run = [&dataset](size_t threads) {
+  const auto run = [&dataset](size_t threads, bool async) {
     const std::string dir = ::testing::TempDir() + "/det-ck-" +
-                            std::to_string(threads) + "-" +
+                            std::to_string(threads) +
+                            (async ? "-async-" : "-") +
                             std::to_string(::getpid());
     std::filesystem::remove_all(dir);
     TrainerConfig config;
@@ -231,6 +245,8 @@ TEST(ParallelDeterminismCheckpointTest, FilesBitIdenticalAcrossThreads) {
     config.sync.dps_window = 8;
     config.seed = 5;
     config.num_threads = threads;
+    config.sync.async_pipeline = async;
+    config.sync.pipeline_staleness = 2;
     config.checkpoint_dir = dir;
     config.checkpoint_every = 25;
     config.keep_checkpoints = 2;
@@ -241,19 +257,26 @@ TEST(ParallelDeterminismCheckpointTest, FilesBitIdenticalAcrossThreads) {
     return CheckpointDirBytes(dir);
   };
 
-  const auto serial = run(1);
-  ASSERT_FALSE(serial.empty());
-  for (size_t threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto parallel = run(threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (const auto& [name, bytes] : serial) {
-      const auto it = parallel.find(name);
-      ASSERT_NE(it, parallel.end()) << name;
+  const auto expect_same = [](const std::map<std::string, std::string>& a,
+                               const std::map<std::string, std::string>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto& [name, bytes] : a) {
+      const auto it = b.find(name);
+      ASSERT_NE(it, b.end()) << name;
       EXPECT_EQ(it->second, bytes)
           << "checkpoint file " << name << " diverged";
     }
+  };
+  const auto serial = run(1, false);
+  ASSERT_FALSE(serial.empty());
+  for (size_t threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same(serial, run(threads, false));
   }
+  SCOPED_TRACE("async, threads=4");
+  const auto async_serial = run(1, true);
+  EXPECT_NE(async_serial, serial);
+  expect_same(async_serial, run(4, true));
 }
 
 // ---------------------------------------------------------------------

@@ -1,25 +1,20 @@
-// Pipeline engine tests (DESIGN.md §12): BoundedQueue semantics,
-// stage lifecycle, the bounded-staleness clock, the async engine's
-// staleness-bound property + checkpoint/fault behaviour, and the
-// regression tests for this PR's bugfix sweep (fault-spec parsing,
-// checkpoint fsync plumbing, kernel env-snapshot consistency).
+// Lag-N schedule tests (DESIGN.md §12): the exact per-pull lag at every
+// staleness bound, checkpoint/fault behaviour under --async, and the
+// regression tests for fault-spec parsing, checkpoint fsync plumbing
+// and kernel env-snapshot consistency.
 
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/checkpoint_manager.h"
-#include "core/pipeline.h"
 #include "core/ps_engine.h"
 #include "core/trainer.h"
 #include "core/trainer_flags.h"
@@ -31,233 +26,11 @@
 namespace hetkg {
 namespace {
 
-using core::BoundedQueue;
-using core::BoundedStalenessClock;
-using core::Pipeline;
 using core::SystemKind;
 using core::TrainerConfig;
 
 // ---------------------------------------------------------------------
-// BoundedQueue
-// ---------------------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoOrderAndHighWater) {
-  BoundedQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  EXPECT_TRUE(q.Push(3));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.high_water(), 3u);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_EQ(q.Pop().value(), 3);
-  EXPECT_EQ(q.size(), 0u);
-  // High water is a lifetime mark, not the current depth.
-  EXPECT_EQ(q.high_water(), 3u);
-}
-
-TEST(BoundedQueueTest, TryPushTryPopNeverBlock) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(10));
-  EXPECT_TRUE(q.TryPush(20));
-  EXPECT_FALSE(q.TryPush(30));  // Full.
-  EXPECT_EQ(q.TryPop().value(), 10);
-  EXPECT_EQ(q.TryPop().value(), 20);
-  EXPECT_FALSE(q.TryPop().has_value());  // Empty.
-}
-
-TEST(BoundedQueueTest, ZeroCapacityClampsToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_FALSE(q.TryPush(2));
-}
-
-TEST(BoundedQueueTest, PushBlocksUntilPopMakesRoom) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.Push(2));  // Blocks: queue is full.
-    second_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_GE(q.push_stalls(), 1u);
-}
-
-TEST(BoundedQueueTest, PopBlocksUntilPush) {
-  BoundedQueue<int> q(2);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(q.Push(7));
-  });
-  EXPECT_EQ(q.Pop().value(), 7);  // Blocks until the producer runs.
-  producer.join();
-  EXPECT_GE(q.pop_stalls(), 1u);
-}
-
-TEST(BoundedQueueTest, CloseDrainsBufferedItemsThenEndsStream) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.Push(3));  // Rejected after close...
-  EXPECT_EQ(q.Pop().value(), 1);  // ...but buffered work still drains.
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());  // End of stream.
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
-  std::atomic<bool> push_result{true};
-  std::thread producer([&] { push_result.store(q.Push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  producer.join();
-  EXPECT_FALSE(push_result.load());  // The blocked push was rejected.
-}
-
-TEST(BoundedQueueTest, ReopenStartsNextSegment) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.Push(1));
-  q.Close();
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-  q.Reopen();
-  EXPECT_FALSE(q.closed());
-  EXPECT_TRUE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 2);
-}
-
-// Regression: Reopen() used to carry the previous segment's stall and
-// high-water counters into the next segment, double-counting them in
-// every per-segment sample after the first (the engine accumulates the
-// per-segment values into run totals at each segment boundary).
-TEST(BoundedQueueTest, ReopenResetsObservabilityCounters) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
-  std::thread producer([&] { ASSERT_TRUE(q.Push(2)); });  // Stalls: full.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  producer.join();
-  std::thread consumer([&] { EXPECT_EQ(q.Pop().value(), 3); });  // Stalls.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(q.Push(3));
-  consumer.join();
-  EXPECT_GE(q.push_stalls(), 1u);
-  EXPECT_GE(q.pop_stalls(), 1u);
-  EXPECT_EQ(q.high_water(), 1u);
-  q.Close();
-  q.Reopen();
-  EXPECT_EQ(q.push_stalls(), 0u);
-  EXPECT_EQ(q.pop_stalls(), 0u);
-  EXPECT_EQ(q.high_water(), 0u);
-  ASSERT_TRUE(q.Push(9));  // The new segment counts from zero.
-  EXPECT_EQ(q.high_water(), 1u);
-  EXPECT_EQ(q.Pop().value(), 9);
-}
-
-// ---------------------------------------------------------------------
-// PipelineStage / Pipeline
-// ---------------------------------------------------------------------
-
-TEST(PipelineStageTest, BodyRunsUntilFalseAndJoins) {
-  std::atomic<int> calls{0};
-  core::PipelineStage stage("count", [&] { return ++calls < 5; });
-  EXPECT_EQ(stage.name(), "count");
-  stage.Start();
-  stage.Join();
-  EXPECT_TRUE(stage.joined());
-  EXPECT_EQ(calls.load(), 5);
-}
-
-TEST(PipelineStageTest, TickRunsBodyInline) {
-  int calls = 0;
-  core::PipelineStage stage("inline", [&] { return ++calls < 2; });
-  EXPECT_TRUE(stage.Tick());
-  EXPECT_FALSE(stage.Tick());
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(PipelineTest, StagesStreamThroughQueueUntilClose) {
-  BoundedQueue<int> q(2);
-  std::atomic<int> sum{0};
-  int next = 1;
-
-  Pipeline pipeline;
-  pipeline.AddStage("produce", [&] {
-    if (next > 10) {
-      q.Close();
-      return false;
-    }
-    return q.Push(next++);
-  });
-  pipeline.AddStage("consume", [&] {
-    auto item = q.Pop();
-    if (!item.has_value()) return false;
-    sum += *item;
-    return true;
-  });
-  ASSERT_EQ(pipeline.num_stages(), 2u);
-  pipeline.Start();
-  pipeline.Join();
-  EXPECT_EQ(sum.load(), 55);  // 1 + 2 + ... + 10.
-}
-
-// ---------------------------------------------------------------------
-// BoundedStalenessClock
-// ---------------------------------------------------------------------
-
-TEST(BoundedStalenessClockTest, AdmitsIterationsWithinBound) {
-  BoundedStalenessClock clock;
-  clock.Reset(0);
-  // With bound 2 and nothing completed, iterations 0..2 are admissible
-  // immediately (they lag the table by at most 2 iterations).
-  clock.WaitAdmissible(0, 2);
-  clock.WaitAdmissible(1, 2);
-  clock.WaitAdmissible(2, 2);
-  EXPECT_EQ(clock.waits(), 0u);
-}
-
-TEST(BoundedStalenessClockTest, ZeroBoundIsFullRendezvous) {
-  BoundedStalenessClock clock;
-  clock.Reset(0);
-  clock.WaitAdmissible(0, 0);  // First iteration never waits.
-  std::atomic<bool> admitted{false};
-  std::thread puller([&] {
-    clock.WaitAdmissible(1, 0);  // Blocks until iteration 0 has pushed.
-    admitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(admitted.load());
-  clock.MarkCompleted(0);
-  puller.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(clock.completed(), 1u);
-  EXPECT_GE(clock.waits(), 1u);
-}
-
-TEST(BoundedStalenessClockTest, ResetSupportsResumeMidStream) {
-  BoundedStalenessClock clock;
-  clock.Reset(7);
-  EXPECT_EQ(clock.completed(), 7u);
-  clock.WaitAdmissible(9, 2);  // 9 <= 7 + 2: admissible at once.
-  EXPECT_EQ(clock.waits(), 0u);
-  clock.MarkCompleted(7);
-  EXPECT_EQ(clock.completed(), 8u);
-}
-
-// ---------------------------------------------------------------------
-// Async engine: staleness-bound property, checkpointing, faults
+// Lag-N schedule: exact staleness, checkpointing, faults
 // ---------------------------------------------------------------------
 
 std::string FreshDir(const std::string& name) {
@@ -293,24 +66,40 @@ TrainerConfig AsyncConfig(size_t staleness) {
   return config;
 }
 
-// The HET-style bound (Sec. IV-C applied to the pipeline): no pull may
-// observe global tables lagging its iteration by more than N fully
-// pushed iterations, at every configured N — and training still
-// converges while stages overlap.
+// The HET-style bound (Sec. IV-C applied to the pipeline), exactly: a
+// pull misses its worker's pushes since the last drain point, at most N
+// of them, so its lag is min(N, iterations since that drain). Drains
+// happen at epoch ends and checkpoint multiples; training still
+// converges at every N.
 TEST(AsyncPipelineTest, StalenessBoundHoldsAndTrainingConverges) {
   const auto dataset = PipelineDataset();
   for (const size_t staleness : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("staleness=" + std::to_string(staleness));
-    auto engine = core::MakeEngine(SystemKind::kHetKgDps,
-                                   AsyncConfig(staleness), dataset.graph,
-                                   dataset.split.train)
+    TrainerConfig config = AsyncConfig(staleness);
+    config.checkpoint_dir = FreshDir("pipe-lag-" + std::to_string(staleness));
+    config.checkpoint_every = 7;
+    auto engine = core::MakeEngine(SystemKind::kHetKgDps, config,
+                                   dataset.graph, dataset.split.train)
                       .value();
+    auto* ps = static_cast<core::PsTrainingEngine*>(engine.get());
+    const size_t per_epoch = ps->IterationsPerEpoch();
+    size_t pulls = 0;
+    size_t mismatches = 0;
+    ps->SetPullLagHook([&](uint32_t, size_t iter, size_t lag) {
+      ++pulls;
+      size_t last_drain = 0;
+      for (size_t d = 1; d <= iter; ++d) {
+        if (d % per_epoch == 0 || d % 7 == 0) last_drain = d;
+      }
+      if (lag != std::min(staleness, iter - last_drain)) ++mismatches;
+    });
     const auto report = engine->Train(2).value();
     ASSERT_EQ(report.epochs.size(), 2u);
     EXPECT_LT(report.epochs.back().mean_loss, report.epochs.front().mean_loss);
 
-    const auto* ps = static_cast<core::PsTrainingEngine*>(engine.get());
-    EXPECT_LE(ps->MaxObservedPipelineLag(), staleness);
+    EXPECT_EQ(pulls, 2 * per_epoch * config.num_machines);
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(ps->MaxObservedPipelineLag(), std::min<size_t>(staleness, 6));
     // The overlap model only hides time when stages may run ahead.
     if (staleness == 0) {
       EXPECT_EQ(report.total_time.overlap_seconds, 0.0);
@@ -320,45 +109,52 @@ TEST(AsyncPipelineTest, StalenessBoundHoldsAndTrainingConverges) {
   }
 }
 
-// Async reports carry the pipeline stall/depth profile (sync reports
-// must not: they are bit-identity-checked elsewhere).
-TEST(AsyncPipelineTest, ReportsPipelineMetrics) {
-  const auto dataset = PipelineDataset();
-  auto engine = core::MakeEngine(SystemKind::kHetKgDps, AsyncConfig(2),
-                                 dataset.graph, dataset.split.train)
-                    .value();
-  const auto report = engine->Train(1).value();
-  bool saw_stalls = false;
-  for (const auto& [name, value] : report.metrics.Snapshot()) {
-    if (name == metric::kPipelineStalls) saw_stalls = true;
+std::vector<float> EntityBytes(const core::TrainingEngine& engine) {
+  std::vector<float> out;
+  const eval::EmbeddingLookup& lookup = engine.Embeddings();
+  for (size_t e = 0; e < lookup.num_entities(); ++e) {
+    const auto row = lookup.Entity(static_cast<EntityId>(e));
+    out.insert(out.end(), row.begin(), row.end());
   }
-  EXPECT_TRUE(saw_stalls);
-  bool saw_depth = false;
-  bool saw_lag = false;
-  for (const auto& [name, value] : report.metrics.GaugeSnapshot()) {
-    if (name == metric::kPipelineQueueDepthSample) saw_depth = true;
-    if (name == metric::kPipelineMaxRowLag) saw_lag = true;
-  }
-  EXPECT_TRUE(saw_depth);
-  EXPECT_TRUE(saw_lag);
+  return out;
+}
 
-  TrainerConfig sync_config = AsyncConfig(2);
-  sync_config.sync.async_pipeline = false;
-  auto sync_engine = core::MakeEngine(SystemKind::kHetKgDps, sync_config,
-                                      dataset.graph, dataset.split.train)
-                         .value();
-  const auto sync_report = sync_engine->Train(1).value();
-  for (const auto& [name, value] : sync_report.metrics.Snapshot()) {
-    EXPECT_NE(name, metric::kPipelineStalls);
-  }
-  for (const auto& [name, value] : sync_report.metrics.GaugeSnapshot()) {
-    EXPECT_NE(name, metric::kPipelineQueueDepthSample);
+// The schedule is one fixed order, so there is no stall, queue depth or
+// staleness wait to report: no run emits a pipeline.* metric. Metric
+// windows never drain the ring, so observing a run leaves it unchanged.
+TEST(AsyncPipelineTest, EmitsNoPipelineMetrics) {
+  const auto dataset = PipelineDataset();
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    TrainerConfig config = AsyncConfig(2);
+    config.sync.async_pipeline = async;
+    auto plain = core::MakeEngine(SystemKind::kHetKgDps, config,
+                                  dataset.graph, dataset.split.train)
+                     .value();
+    const auto plain_report = plain->Train(1).value();
+    config.obs.metrics_json = FreshDir("pipe-metrics") + ".json";
+    config.obs.metrics_window = 5;
+    auto engine = core::MakeEngine(SystemKind::kHetKgDps, config,
+                                   dataset.graph, dataset.split.train)
+                      .value();
+    const auto report = engine->Train(1).value();
+    ASSERT_FALSE(report.metrics.Snapshot().empty());
+    for (const auto& [name, value] : report.metrics.Snapshot()) {
+      EXPECT_NE(name.rfind("pipeline.", 0), 0u) << name;
+    }
+    for (const auto& [name, value] : report.metrics.GaugeSnapshot()) {
+      EXPECT_NE(name.rfind("pipeline.", 0), 0u) << name;
+    }
+    EXPECT_EQ(report.epochs.back().mean_loss,
+              plain_report.epochs.back().mean_loss);
+    EXPECT_EQ(EntityBytes(*engine), EntityBytes(*plain));
   }
 }
 
-// Checkpoints are taken at drained-pipeline barriers, so an async run
-// halted mid-epoch resumes from its snapshot and completes; the resumed
-// engine continues from the checkpointed iteration, not from zero.
+// Checkpoints are drain points, so an async run halted mid-epoch (its
+// in-flight pushes lost with the halt) resumes from its snapshot and
+// completes; the resumed engine continues from the checkpointed
+// iteration, not from zero.
 TEST(AsyncPipelineTest, CheckpointResumeCompletesInAsyncMode) {
   const auto dataset = PipelineDataset();
   const std::string dir = FreshDir("pipe-async-resume");
@@ -387,9 +183,10 @@ TEST(AsyncPipelineTest, CheckpointResumeCompletesInAsyncMode) {
   EXPECT_LE(ps->MaxObservedPipelineLag(), 2u);
 }
 
-// Process faults fire at segment barriers in async mode: the scheduled
-// worker crash is detected, the run rewinds to the latest snapshot, and
-// training completes with the staleness bound still intact.
+// Process faults fire at iteration boundaries without draining: the
+// scheduled worker crash discards the in-flight pushes, the run rewinds
+// to the latest (drained) snapshot and replays them, and it ends on the
+// uninterrupted run's bytes.
 TEST(AsyncPipelineTest, WorkerCrashRecoveredInAsyncMode) {
   const auto dataset = PipelineDataset();
   TrainerConfig config = AsyncConfig(2);
@@ -410,6 +207,17 @@ TEST(AsyncPipelineTest, WorkerCrashRecoveredInAsyncMode) {
   ASSERT_EQ(report.epochs.size(), 2u);
   const auto* ps = static_cast<core::PsTrainingEngine*>(engine.get());
   EXPECT_LE(ps->MaxObservedPipelineLag(), 2u);
+
+  TrainerConfig clean_config = config;
+  clean_config.checkpoint_dir = FreshDir("pipe-async-nocrash");
+  clean_config.fault.process_faults.clear();
+  auto clean = core::MakeEngine(SystemKind::kHetKgDps, clean_config,
+                                dataset.graph, dataset.split.train)
+                   .value();
+  const auto clean_report = clean->Train(2).value();
+  EXPECT_EQ(report.epochs.back().mean_loss,
+            clean_report.epochs.back().mean_loss);
+  EXPECT_EQ(EntityBytes(*engine), EntityBytes(*clean));
 }
 
 // ---------------------------------------------------------------------
